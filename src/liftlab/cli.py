@@ -23,12 +23,6 @@ from .sweep import SweepConfig, emit_csv, rows_to_csv_text, run_sweep
 def _common_flags(sub):
     sub.add_argument("--json", action="store_true",
                      help="emit machine-readable JSON instead of text")
-    sub.add_argument("--threads", type=int, default=1, metavar="N",
-                     help="worker threads (sweep grid / lasserre projections)")
-    sub.add_argument("--seed", type=int, default=None, metavar="S",
-                     help="seed for randomized utilities; no default code "
-                          "path uses randomness, so this is accepted and "
-                          "recorded only")
 
 
 def _load_instance(path: str):
@@ -49,8 +43,7 @@ def _emit(args, payload: dict, text: str):
 
 
 def _cmd_sa_cert(args) -> int:
-    check = verify_gap_certificate(args.n, args.eps, args.t, args.delta,
-                                   families=args.families)
+    check = verify_gap_certificate(args.n, args.eps, args.t, args.delta)
     if args.emit_violations:
         dump = [{"kind": v.kind, "witness": list(v.witness),
                  "margin": None if v.margin is None else rat_str(v.margin)}
@@ -71,7 +64,7 @@ def _cmd_sa_cert(args) -> int:
 
 def _cmd_sa_value(args) -> int:
     inst = _load_instance(args.instance)
-    value = sa_value(inst, args.t, reduced=not args.full)
+    value = sa_value(inst, args.t)
     _emit(args, {"value": rat_str(value), "mode": "sa",
                  "residual": 0.0, "iterations": 0},
           f"sa level-{args.t} value {rat_str(value)} ~ {float(value):.6f}")
@@ -81,7 +74,7 @@ def _cmd_sa_value(args) -> int:
 def _cmd_lasserre_value(args) -> int:
     inst = _load_instance(args.instance)
     est = lasserre_value(inst, args.t, tol=args.tol, symmetry=args.symmetry,
-                         max_sweeps=args.max_sweeps, threads=args.threads)
+                         max_sweeps=args.max_sweeps)
     _emit(args, {"value": est.value, "mode": "lasserre",
                  "residual": est.residual, "iterations": est.sweeps},
           est.describe())
@@ -117,7 +110,7 @@ def _cmd_verify(args) -> int:
     inst = _load_instance(args.instance)
     y = _load_point(args.point, inst.n)
     if args.mode == "sa":
-        report = sa_membership(y, inst, args.t, families=args.families)
+        report = sa_membership(y, inst, args.t)
     else:
         report = lasserre_membership(y, inst, args.t)
     _emit(args, {"mode": args.mode, "t": args.t,
@@ -157,7 +150,6 @@ def _cmd_sweep(args) -> int:
         obj["output"] = args.out
     if args.tol is not None:
         obj["tol"] = args.tol
-    obj["threads"] = args.threads
     cfg = SweepConfig.from_dict(obj).validate()
     rows = run_sweep(cfg)
     if args.json:
@@ -182,7 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", required=True, help="rational like 1/10")
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--delta", required=True, help="rational bound parameter")
-    p.add_argument("--families", choices=("all", "maximal"), default="all")
     p.add_argument("--emit-violations", metavar="PATH",
                    help="write the violation list as JSON")
     _common_flags(p)
@@ -191,8 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("sa-value", help="exact level-t linear relaxation value")
     p.add_argument("--instance", required=True)
     p.add_argument("--t", type=int, required=True)
-    p.add_argument("--full", action="store_true",
-                   help="keep the non-maximal constraint rows")
     _common_flags(p)
     p.set_defaults(func=_cmd_sa_value)
 
@@ -223,7 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--point", required=True)
     p.add_argument("--mode", choices=("sa", "lasserre"), required=True)
     p.add_argument("--t", type=int, required=True)
-    p.add_argument("--families", choices=("all", "maximal"), default="all")
     _common_flags(p)
     p.set_defaults(func=_cmd_verify)
 
@@ -248,7 +236,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -150,39 +150,30 @@ def _require_support(y: SetVector, n: int, depth: int, what: str):
         raise ValueError(f"{what}: vector must be defined on all subsets of size <= {depth}")
 
 
-def sa_membership(y: SetVector, inst: KnapsackInstance, t: int,
-                  families: str = "all") -> MembershipReport:
+def sa_membership(y: SetVector, inst: KnapsackInstance, t: int) -> MembershipReport:
     """Membership in the level-t Sherali-Adams lifted polytope.
 
     Checks y_0 = 1, M_P(U)(y) PSD for |U| <= t and M_P(W)(g*y) PSD for
-    |W| <= t-1 over the capacity and box constraints. With
-    families="maximal" only the largest families are eliminated; every
-    smaller family indexes a principal submatrix of a maximal one, so
-    the accept/reject decision is identical and much faster.
+    |W| <= t-1 over the capacity and box constraints.
     """
     if not 1 <= t <= inst.n:
         raise ValueError("level t must satisfy 1 <= t <= n")
-    if families not in ("all", "maximal"):
-        raise ValueError("families must be 'all' or 'maximal'")
     _require_support(y, inst.n, t, "sa_membership")
     n = inst.n
     report = MembershipReport()
     _check_unit_and_range(y, report)
 
-    u_sizes = [min(t, n)] if families == "maximal" else range(min(t, n) + 1)
     cache = {}
-    for combo in _iter_subsets(n, u_sizes):
+    for combo in _iter_subsets(n, range(t + 1)):
         ok, bad = _powerset_psd(y.__getitem__, mask_of(combo), cache)
         report.checked += 1
         if not ok:
             report.add("moment M_P(U)", combo, bad)
 
-    w_max = min(t - 1, n)
-    w_sizes = [w_max] if families == "maximal" else range(w_max + 1)
     for gi, g in enumerate(all_constraints(inst)):
         shifted = _ShiftedValues(y, g)
         cache = {}
-        for combo in _iter_subsets(n, w_sizes):
+        for combo in _iter_subsets(n, range(t)):
             ok, bad = _powerset_psd(shifted, mask_of(combo), cache)
             report.checked += 1
             if not ok:
@@ -252,6 +243,29 @@ def _as_ineq(coeffs: dict, tag: str) -> LiftedInequality:
     return LiftedInequality(items, tag)
 
 
+def _disjoint_pairs(n: int, k: int):
+    """Disjoint (I, J) as bitmasks with |I u J| = k.
+
+    Unions U come in combination order; within U, I runs over the
+    subsets of U by size, then in combination order, and J = U minus I.
+    """
+    for union in itertools.combinations(range(n), k):
+        u_mask = mask_of(union)
+        for i_size in range(k + 1):
+            for i_combo in itertools.combinations(union, i_size):
+                i_mask = mask_of(i_combo)
+                yield i_mask, u_mask & ~i_mask
+
+
+def _capacity_row(inst: KnapsackInstance, i_mask: int, j_mask: int) -> dict:
+    """Lifted capacity row C * B(I, J) - sum_i c_i * B(I u i, J) >= 0,
+    where B(I, J) = sum_{L <= J} (-1)^|L| y_{I u L}."""
+    cap = _merge({}, _signed_base(i_mask, j_mask), inst.capacity)
+    for item in range(inst.n):
+        _merge(cap, _signed_base(i_mask, j_mask, 1 << item), -inst.sizes[item])
+    return cap
+
+
 def sa_linear_constraints(inst: KnapsackInstance, t: int) -> list[LiftedInequality]:
     """Level-t linear SA system for Knapsack over y in P_t(V).
 
@@ -264,25 +278,16 @@ def sa_linear_constraints(inst: KnapsackInstance, t: int) -> list[LiftedInequali
     n = inst.n
     out = []
     for total in range(t):
-        for ij in itertools.combinations(range(n), total):
-            for i_size in range(total + 1):
-                for i_combo in itertools.combinations(ij, i_size):
-                    i_mask = mask_of(i_combo)
-                    j_mask = mask_of(ij) & ~i_mask
-                    base = _signed_base(i_mask, j_mask)
-                    pair = f"I={list(i_combo)},J={indices_of(j_mask)}"
-                    cap = {}
-                    _merge(cap, base, inst.capacity)
-                    for item in range(n):
-                        _merge(cap, _signed_base(i_mask, j_mask, 1 << item),
-                               -inst.sizes[item])
-                    out.append(_as_ineq(cap, f"cap {pair}"))
-                    for item in range(n):
-                        lifted_i = _signed_base(i_mask, j_mask, 1 << item)
-                        out.append(_as_ineq(lifted_i, f"lb i={item} {pair}"))
-                        ub = dict(base)
-                        _merge(ub, lifted_i, Q(-1))
-                        out.append(_as_ineq(ub, f"ub i={item} {pair}"))
+        for i_mask, j_mask in _disjoint_pairs(n, total):
+            pair = f"I={indices_of(i_mask)},J={indices_of(j_mask)}"
+            out.append(_as_ineq(_capacity_row(inst, i_mask, j_mask), f"cap {pair}"))
+            base = _signed_base(i_mask, j_mask)
+            for item in range(n):
+                lifted_i = _signed_base(i_mask, j_mask, 1 << item)
+                out.append(_as_ineq(lifted_i, f"lb i={item} {pair}"))
+                ub = dict(base)
+                _merge(ub, lifted_i, Q(-1))
+                out.append(_as_ineq(ub, f"ub i={item} {pair}"))
     return out
 
 
@@ -321,8 +326,7 @@ class CertificateCheck:
                 f"membership {self.report.describe()}")
 
 
-def verify_gap_certificate(n: int, eps, t: int, delta,
-                           families: str = "all") -> CertificateCheck:
+def verify_gap_certificate(n: int, eps, t: int, delta) -> CertificateCheck:
     """Construct the certificate, check SA membership exactly, compare its
     value n*alpha against (2-eps)/(1+delta) (the uniform instance has OPT 1)."""
     eps, delta = rat(eps), rat(delta)
@@ -332,7 +336,7 @@ def verify_gap_certificate(n: int, eps, t: int, delta,
         raise ValueError("level t must satisfy t <= delta * n")
     cert = sa_gap_certificate(n, eps, t)
     inst = uniform_gap_instance(n, eps)
-    report = sa_membership(cert, inst, t, families=families)
+    report = sa_membership(cert, inst, t)
     value = n * certificate_alpha(n, eps, t)
     bound = (2 - eps) / (1 + delta)
     return CertificateCheck(value, report, bound, value >= bound)

@@ -25,6 +25,8 @@ def rat(value) -> "Q":
         return Q(Fraction(value))
     if isinstance(value, float):
         raise TypeError(f"refusing to coerce float {value!r}; pass a string or rational")
+    if isinstance(value, bool):
+        raise TypeError(f"refusing to coerce bool {value!r}; pass a string or rational")
     return Q(value)
 
 

@@ -8,20 +8,18 @@ Lasserre optimum (it can corroborate upper bounds, never refute them).
 
 from __future__ import annotations
 
-import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hierarchy import _merge, _signed_base, sa_linear_constraints
+from .hierarchy import _capacity_row, _disjoint_pairs, _signed_base
 from .knapsack import (KnapsackInstance, all_constraints, lp_value,
                        opt_solution)
 from .psd import project_psd
 from .rationals import ZERO, rat_str
 from .simplex import LPProblem, simplex_exact
-from .subsets import SetVector, family_p_t, mask_of
+from .subsets import family_p_t
 
 SA_VARIABLE_CAP = 2000
 LASSERRE_DIM_CAP = 400
@@ -32,53 +30,39 @@ def _comb_count(n: int, t: int) -> int:
     return sum(math.comb(n, k) for k in range(t + 1))
 
 
-def sa_lp_problem(inst: KnapsackInstance, t: int, reduced: bool = True) -> LPProblem:
+def sa_lp_problem(inst: KnapsackInstance, t: int) -> LPProblem:
     """The level-t SA system as an LP over y (y_0 substituted by 1).
 
-    reduced=True keeps only the constraints for maximal (I, J) pairs:
-    every lower-level inequality is the sum of two one-level-higher ones
-    (split a fresh item into I or J), so the feasible set is unchanged.
+    Only the rows of maximal (I, J) pairs are kept: the capacity rows
+    with |I u J| = t - 1 and the base rows B(I, J) >= 0 with
+    |I u J| = t. Every lower-level inequality is the sum of two
+    one-level-higher ones (split a fresh item into I or J), so the
+    feasible set is that of the full system.
     """
     n = inst.n
     problem = LPProblem({1 << i: inst.values[i] for i in range(n)})
 
-    def add_geq0(coeffs: dict, tag: str):
+    def add_geq0(coeffs: dict):
         const = coeffs.pop(0, ZERO)
         if coeffs:
             problem.add(coeffs, ">=", -const)
         elif const < 0:
-            raise AssertionError(f"constant row infeasible: {tag}")
+            raise AssertionError(f"constant row infeasible: {const} >= 0")
 
-    if not reduced:
-        for ineq in sa_linear_constraints(inst, t):
-            add_geq0(dict(ineq.coeffs), ineq.tag)
-        return problem
-
-    for union_size, kind in ((min(t - 1, n), "cap"), (min(t, n), "base")):
-        for union in itertools.combinations(range(n), union_size):
-            for i_size in range(union_size + 1):
-                for i_combo in itertools.combinations(union, i_size):
-                    i_mask = mask_of(i_combo)
-                    j_mask = mask_of(union) & ~i_mask
-                    if kind == "base":
-                        add_geq0(_signed_base(i_mask, j_mask), "base")
-                    else:
-                        cap = {}
-                        _merge(cap, _signed_base(i_mask, j_mask), inst.capacity)
-                        for item in range(n):
-                            _merge(cap, _signed_base(i_mask, j_mask, 1 << item),
-                                   -inst.sizes[item])
-                        add_geq0(cap, "cap")
+    for i_mask, j_mask in _disjoint_pairs(n, min(t - 1, n)):
+        add_geq0(_capacity_row(inst, i_mask, j_mask))
+    for i_mask, j_mask in _disjoint_pairs(n, min(t, n)):
+        add_geq0(_signed_base(i_mask, j_mask))
     return problem
 
 
-def sa_value(inst: KnapsackInstance, t: int, reduced: bool = True):
+def sa_value(inst: KnapsackInstance, t: int):
     """Exact optimum of the level-t linear SA relaxation."""
     if t < 1:
         raise ValueError("level t must be >= 1")
     if _comb_count(inst.n, t) > SA_VARIABLE_CAP:
         raise ValueError(f"variable count exceeds {SA_VARIABLE_CAP}")
-    value, _ = simplex_exact(sa_lp_problem(inst, t, reduced=reduced))
+    value, _ = simplex_exact(sa_lp_problem(inst, t))
     return value
 
 
@@ -167,9 +151,7 @@ class _BlockData:
 
 
 class _LasserreWorkspace:
-    def __init__(self, inst: KnapsackInstance, t: int, symmetry: bool,
-                 pool: ThreadPoolExecutor | None = None):
-        self.pool = pool
+    def __init__(self, inst: KnapsackInstance, t: int, symmetry: bool):
         n = inst.n
         if symmetry and not inst.is_uniform():
             raise ValueError("symmetry flag requires a uniform instance")
@@ -237,18 +219,8 @@ class _LasserreWorkspace:
         check_every = 10
         for sweep in range(1, max_sweeps + 1):
             self.project_affine(y, tau)
-            if self.pool is None:
-                for block in self.blocks:
-                    block.project(y)
-                    self.symmetrize(y)
-            else:
-                # simultaneous variant: every block projects the same
-                # snapshot concurrently and the results are averaged
-                def work(block, snap=y):
-                    yy = snap.copy()
-                    block.project(yy)
-                    return yy
-                y = np.mean(list(self.pool.map(work, self.blocks)), axis=0)
+            for block in self.blocks:
+                block.project(y)
                 self.symmetrize(y)
             if sweep % check_every:
                 continue
@@ -270,8 +242,7 @@ class _LasserreWorkspace:
 
 
 def lasserre_value(inst: KnapsackInstance, t: int, tol: float = 1e-4,
-                   symmetry: bool = False, max_sweeps: int = 50000,
-                   threads: int = 1) -> LasserreEstimate:
+                   symmetry: bool = False, max_sweeps: int = 50000) -> LasserreEstimate:
     """Approximate level-t Lasserre optimum by bisection on the objective.
 
     Feasibility of {objective >= tau} within the lifted polytope is
@@ -279,10 +250,6 @@ def lasserre_value(inst: KnapsackInstance, t: int, tol: float = 1e-4,
     affine/box in closed form); tau counts as reachable only when the
     combined residual drops below 1e-7. The returned value is the
     objective of the best near-feasible point: a lower estimate.
-
-    threads > 1 switches each sweep from cyclic to simultaneous block
-    projections (all blocks project one snapshot concurrently, results
-    averaged); the default stays cyclic.
     """
     if not 1 <= t <= inst.n:
         raise ValueError("level t must satisfy 1 <= t <= n")
@@ -290,16 +257,7 @@ def lasserre_value(inst: KnapsackInstance, t: int, tol: float = 1e-4,
         raise ValueError(f"moment-matrix dimension exceeds {LASSERRE_DIM_CAP}")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        return _lasserre_value(inst, t, tol, symmetry, max_sweeps, pool)
-    finally:
-        if pool is not None:
-            pool.shutdown()
-
-
-def _lasserre_value(inst, t, tol, symmetry, max_sweeps, pool):
-    ws = _LasserreWorkspace(inst, t, symmetry, pool)
+    ws = _LasserreWorkspace(inst, t, symmetry)
 
     sol, opt_val = opt_solution(inst)
     best_point = ws.integer_point(sol)
@@ -307,6 +265,7 @@ def _lasserre_value(inst, t, tol, symmetry, max_sweeps, pool):
     hi = float(lp_value(inst))
     sweeps_total = 0
     bisections = 0
+    moved = False
     notes = ["lower estimate: alternating projections corroborate upper "
              "bounds, they cannot refute them"]
     while hi - lo > tol:
@@ -318,10 +277,14 @@ def _lasserre_value(inst, t, tol, symmetry, max_sweeps, pool):
             notes.append(f"sweep budget exhausted at tau={tau:.6f} "
                          f"(last residual {resid:.2e})")
         if ok:
+            moved = True
             best_point = point
             lo = max(tau, ws.objective(point))
         else:
             hi = tau
+    if not moved:
+        notes.append(f"no bisection step reached feasibility: the estimate "
+                     f"is the integer optimum {rat_str(opt_val)}")
     final_resid = ws.residual(best_point, 0.0)
     return LasserreEstimate(
         value=ws.objective(best_point),

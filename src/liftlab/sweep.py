@@ -10,9 +10,9 @@ and nothing is randomized.
 from __future__ import annotations
 
 import csv
+import io
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .decomposition import big_items, decompose, verify_decomposition
@@ -21,7 +21,8 @@ from .hierarchy import (certificate_alpha, convex_combination,
 from .knapsack import (KnapsackInstance, Solution, instance_from_json,
                        opt_bruteforce, uniform_gap_instance)
 from .rationals import Q, rat, rat_str
-from .solvers import lasserre_value, sa_value
+from .solvers import (LASSERRE_DIM_CAP, SA_VARIABLE_CAP, _comb_count,
+                      lasserre_value, sa_value)
 
 MODES = ("sa-cert", "sa-lp", "lasserre", "decompose")
 
@@ -41,7 +42,6 @@ class SweepConfig:
     modes: tuple = ("sa-cert",)
     output: str | None = None
     tol: float = 1e-4
-    threads: int = 1
 
     @classmethod
     def from_dict(cls, obj: dict) -> "SweepConfig":
@@ -71,8 +71,6 @@ class SweepConfig:
                 raise ValueError(f"unknown mode {m!r} (choose from {MODES})")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
         return self
 
 
@@ -88,6 +86,7 @@ class ResultRow:
     status: str              # "exact" | "approx" | "error"
     runtime_ms: int
     residual: float = 0.0    # approx modes only; not part of the CSV contract
+    error: str = ""          # "<ExcType>: <msg>" when status is "error"; not in the CSV
 
     def csv_fields(self) -> tuple:
         return (self.instance, str(self.n), self.eps, str(self.t), self.mode,
@@ -118,9 +117,8 @@ def _instances(cfg: SweepConfig):
     return out
 
 
-def _enforce_caps(cfg: SweepConfig, grid):
+def _enforce_caps(grid):
     # fail the whole sweep up front rather than mid-run
-    from .solvers import LASSERRE_DIM_CAP, SA_VARIABLE_CAP, _comb_count
     for _, inst, _, t, mode in grid:
         if mode == "sa-lp" and _comb_count(inst.n, t) > SA_VARIABLE_CAP:
             raise ValueError(f"sa-lp over the variable cap at n={inst.n}, t={t}")
@@ -159,13 +157,14 @@ def _run_point(inst_id, inst, eps_str, t, mode, tol):
     start = time.perf_counter()
     status = "exact"
     residual = 0.0
+    error = ""
     try:
         if mode == "sa-cert":
             if not inst.is_uniform():
                 raise ValueError("sa-cert applies to uniform instances only")
             eps = 1 - inst.capacity / 2
             cert = sa_gap_certificate(inst.n, eps, t)
-            report = sa_membership(cert, inst, t, families="maximal")
+            report = sa_membership(cert, inst, t)
             if not report.accepted:
                 raise ValueError("certificate rejected: " + report.describe())
             value = inst.n * certificate_alpha(inst.n, eps, t)
@@ -182,44 +181,40 @@ def _run_point(inst_id, inst, eps_str, t, mode, tol):
             _fmt(value / (float(opt_bruteforce(inst)) if isinstance(value, float)
                           else opt_bruteforce(inst)))
         value_str = _fmt(value)
-    except Exception:
+    except Exception as exc:
         status = "error"
         value_str = ""
         ratio = ""
+        error = f"{type(exc).__name__}: {exc}"
     ms = int(round((time.perf_counter() - start) * 1000))
     return ResultRow(inst_id, inst.n, eps_str, t, mode, value_str, ratio,
-                     status, ms, residual)
+                     status, ms, residual, error)
 
 
 def run_sweep(cfg: SweepConfig) -> list[ResultRow]:
     """Execute the grid; per-row errors become status=error, never aborts.
 
-    Rows come back ordered by (instance, t, mode) position in the config,
-    regardless of worker scheduling.
+    Rows come back ordered by (instance, t, mode) position in the config.
     """
     cfg.validate()
     grid = [(inst_id, inst, eps_str, t, mode)
             for inst_id, inst, eps_str in _instances(cfg)
             for t in cfg.t_values
             for mode in cfg.modes]
-    _enforce_caps(cfg, grid)
-    if cfg.threads == 1:
-        return [_run_point(*point, cfg.tol) for point in grid]
-    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        futures = [pool.submit(_run_point, *point, cfg.tol) for point in grid]
-        return [f.result() for f in futures]
-
-
-def emit_csv(rows: list[ResultRow], path: str) -> None:
-    """Write rows under the fixed header, UTF-8 with LF line endings."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for row in rows:
-            writer.writerow(row.csv_fields())
+    _enforce_caps(grid)
+    return [_run_point(*point, cfg.tol) for point in grid]
 
 
 def rows_to_csv_text(rows: list[ResultRow]) -> str:
-    lines = [",".join(CSV_HEADER)]
-    lines += [",".join(r.csv_fields()) for r in rows]
-    return "\n".join(lines) + "\n"
+    """The CSV text of rows under the fixed header, with LF line endings."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
+    writer.writerows(r.csv_fields() for r in rows)
+    return buf.getvalue()
+
+
+def emit_csv(rows: list[ResultRow], path: str) -> None:
+    """Write rows_to_csv_text(rows) to path as UTF-8."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(rows_to_csv_text(rows))

@@ -32,7 +32,7 @@ def _sa_uniform12(t):
 
 
 def test_criterion_1_certificate_exact():
-    check = verify_gap_certificate(20, Q(1, 10), 5, Q(1, 4), families="all")
+    check = verify_gap_certificate(20, Q(1, 10), 5, Q(1, 4))
     ok = (check.report.accepted
           and check.value == Q(90, 59)
           and check.bound == Q(38, 25)

@@ -17,7 +17,7 @@ def inst_file(tmp_path):
 
 def test_sa_cert_success(capsys):
     code = main(["sa-cert", "--n", "10", "--eps", "1/10", "--t", "3",
-                 "--delta", "3/10", "--families", "maximal", "--json"])
+                 "--delta", "3/10", "--json"])
     assert code == 0
     out = json.loads(capsys.readouterr().out)
     assert out["value"] == "90/59"
@@ -162,3 +162,84 @@ def test_decompose_point_missing_entries_fails_cleanly(tmp_path):
     code = main(["decompose", "--instance", str(inst_path), "--point",
                  str(point), "--t", "3", "--k", "2"])
     assert code in (1, 2)
+
+
+@pytest.mark.parametrize("argv", [
+    ["sa-value", "--instance", "i.json", "--t", "1", "--full"],
+    ["sa-cert", "--n", "6", "--eps", "1/10", "--t", "2", "--delta", "1/2",
+     "--families", "all"],
+    ["verify", "--instance", "i.json", "--point", "p.json", "--mode", "sa",
+     "--t", "1", "--families", "all"],
+    ["sa-value", "--instance", "i.json", "--t", "1", "--threads", "2"],
+    ["lasserre-value", "--instance", "i.json", "--t", "1", "--threads", "2"],
+    ["sweep", "--family", "uniform", "--threads", "2"],
+    ["decompose", "--instance", "i.json", "--point", "p.json", "--t", "2",
+     "--k", "1", "--seed", "1"],
+    ["sa-cert", "--n", "6", "--eps", "1/10", "--t", "2", "--delta", "1/2",
+     "--seed", "1"],
+])
+def test_removed_flags_exit_two(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_sweep_config_with_threads_is_rejected(tmp_path, capsys):
+    cfg = {"family": "uniform", "n_values": [6], "eps_values": ["1/10"],
+           "t_values": [2], "modes": ["sa-cert"], "threads": 2}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(["sweep", "--config", str(cfg_path)]) == 2
+    assert "threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("size", ["1.5", "true"])
+def test_float_or_bool_in_instance_is_usage_error(tmp_path, capsys, size):
+    path = tmp_path / "inst.json"
+    path.write_text('{"n": 1, "capacity": "2", "items": '
+                    f'[{{"size": {size}, "value": "1"}}]}}', encoding="utf-8")
+    code = main(["sa-value", "--instance", str(path), "--t", "1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_float_in_point_is_usage_error(inst_file, tmp_path, capsys):
+    _, path = inst_file
+    point = tmp_path / "pt.json"
+    point.write_text('{"[]": "1", "[0]": 0.5, "[1]": "0"}', encoding="utf-8")
+    code = main(["verify", "--instance", path, "--point", str(point),
+                 "--mode", "sa", "--t", "1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_sweep_json_says_why_a_row_failed(inst_file, capsys):
+    _, path = inst_file
+    code = main(["sweep", "--family", "files", "--files", path, "--t", "2",
+                 "--modes", "sa-cert", "--json"])
+    assert code == 0
+    (row,) = json.loads(capsys.readouterr().out)
+    assert row["status"] == "error"
+    assert row["error"].startswith("ValueError: ") and "uniform" in row["error"]
+
+
+def test_sweep_stdout_and_file_csv_agree(tmp_path, capsys):
+    # a comma in the instance name must be quoted on both outputs
+    path = tmp_path / "a,b.json"
+    path.write_text(instance_to_json(make_instance([1, 2], [3, 2], 2)),
+                    encoding="utf-8")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"family": "files", "files": [str(path)],
+                                    "t_values": [1], "modes": ["sa-lp"]}),
+                        encoding="utf-8")
+    argv = ["sweep", "--config", str(cfg_path)]
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    out_path = tmp_path / "rows.csv"
+    assert main(argv + ["--out", str(out_path)]) == 0
+    strip = lambda text: [line.rsplit(",", 1)[0] for line in text.splitlines()]
+    assert strip(out_path.read_bytes().decode("utf-8")) == strip(stdout)
+    assert stdout.splitlines()[1].startswith('"a,b",2,,1,sa-lp,4,4/3,exact,')

@@ -79,8 +79,6 @@ def test_membership_argument_validation():
     with pytest.raises(ValueError):
         sa_membership(y, inst, 0)
     with pytest.raises(ValueError):
-        sa_membership(y, inst, 2, families="some")
-    with pytest.raises(ValueError):
         lasserre_membership(SetVector(2, {0: Q(1)}), inst, 1)
 
 
@@ -136,20 +134,6 @@ def test_inflated_certificate_rejected():
     assert not sa_membership(bad, inst, 2).accepted
 
 
-def test_maximal_families_decide_like_all(rng):
-    inst = uniform_gap_instance(5, "1/10")
-    cert = sa_gap_certificate(5, "1/10", 2)
-    full = sa_membership(cert, inst, 2, families="all")
-    fast = sa_membership(cert, inst, 2, families="maximal")
-    assert full.accepted == fast.accepted
-    for _ in range(5):
-        sub = rand_instance(rng, 4)
-        pts = rng.sample(feasible_points(sub), k=2)
-        y = mixture_moment(sub, point_mixture(rng, pts), 2)
-        assert (sa_membership(y, sub, 2, families="all").accepted
-                == sa_membership(y, sub, 2, families="maximal").accepted)
-
-
 def test_linear_constraints_satisfied_by_members(rng):
     # every linear inequality is valid for integer moments and mixtures
     inst = rand_instance(rng, 4)
@@ -181,7 +165,7 @@ def test_lasserre_rejects_padded_sa_certificate():
     n = 10
     inst = uniform_gap_instance(n, "1/10")
     cert = sa_gap_certificate(n, "1/10", 2)
-    assert sa_membership(cert, inst, 2, families="maximal").accepted
+    assert sa_membership(cert, inst, 2).accepted
     alpha = certificate_alpha(n, Q(1, 10), 2)
     values = {0: Q(1)}
     for size in range(1, 5):

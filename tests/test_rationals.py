@@ -34,3 +34,10 @@ def test_rat_str():
 def test_arithmetic_is_exact():
     x = rat("1/3") + rat("1/6")
     assert x == Q(1, 2)
+
+
+def test_rat_refuses_bools():
+    with pytest.raises(TypeError):
+        rat(True)
+    with pytest.raises(TypeError):
+        rat(False)

@@ -1,8 +1,9 @@
 import pytest
 
-from liftlab import (Q, certificate_alpha, gap_table, lasserre_value,
-                     lp_value, make_instance, opt_bruteforce, sa_lp_problem,
-                     sa_value, simplex_exact, uniform_gap_instance)
+from liftlab import (LPProblem, Q, certificate_alpha, gap_table,
+                     lasserre_value, lp_value, make_instance, opt_bruteforce,
+                     sa_linear_constraints, sa_lp_problem, sa_value,
+                     simplex_exact, uniform_gap_instance)
 
 from conftest import rand_instance
 
@@ -13,16 +14,50 @@ def test_sa_value_level_one_is_the_base_lp(rng):
         assert sa_value(inst, 1) == lp_value(inst)
 
 
+def _full_sa_lp(inst, t):
+    """Every row of sa_linear_constraints as an LP, y_0 substituted by 1."""
+    problem = LPProblem({1 << i: inst.values[i] for i in range(inst.n)})
+    for ineq in sa_linear_constraints(inst, t):
+        coeffs = dict(ineq.coeffs)
+        const = coeffs.pop(0, Q(0))
+        if coeffs:
+            problem.add(coeffs, ">=", -const)
+        else:
+            assert const >= 0, ineq.tag
+    return problem
+
+
+def _normalized(coeffs: dict, rhs):
+    return tuple(sorted((m, c) for m, c in coeffs.items() if c != 0)), rhs
+
+
 def test_reduced_system_matches_full(rng):
     for _ in range(6):
         inst = rand_instance(rng, 4)
         for t in (1, 2):
-            full = simplex_exact(sa_lp_problem(inst, t, reduced=False))[0]
-            fast = simplex_exact(sa_lp_problem(inst, t, reduced=True))[0]
+            full = simplex_exact(_full_sa_lp(inst, t))[0]
+            fast = simplex_exact(sa_lp_problem(inst, t))[0]
             assert full == fast
     uni = uniform_gap_instance(5, "1/10")
-    assert (simplex_exact(sa_lp_problem(uni, 2, reduced=False))[0]
-            == sa_value(uni, 2))
+    assert simplex_exact(_full_sa_lp(uni, 2))[0] == sa_value(uni, 2)
+
+
+def test_sa_lp_rows_are_rows_of_the_linear_system(rng):
+    # each kept LP row, constant moved to the right-hand side, is one of
+    # the inequalities of the full linear system
+    cases = [(rand_instance(rng, rng.randint(1, 5)), t)
+             for _ in range(8) for t in (1, 2, 3)]
+    cases.append((uniform_gap_instance(6, "1/10"), 3))
+    for inst, t in cases:
+        full = set()
+        for ineq in sa_linear_constraints(inst, t):
+            coeffs = dict(ineq.coeffs)
+            full.add(_normalized(coeffs, -coeffs.pop(0, Q(0))))
+        problem = sa_lp_problem(inst, t)
+        assert problem.constraints
+        for coeffs, sense, rhs in problem.constraints:
+            assert sense == ">="
+            assert _normalized(coeffs, rhs) in full, (inst, t, coeffs, rhs)
 
 
 def test_sa_value_dominates_certificate():
@@ -53,6 +88,15 @@ def test_lasserre_reaches_the_hull_on_two_items():
     assert abs(est.value - float(opt_bruteforce(inst))) <= 1e-4
     assert est.residual < 1e-6
     assert any("lower estimate" in n for n in est.notes)
+
+
+def test_lasserre_notes_an_estimate_stuck_at_the_integer_optimum():
+    # ten sweeps cannot reach the residual threshold, so no step succeeds
+    inst = uniform_gap_instance(4, "1/10")
+    est = lasserre_value(inst, 2, tol=0.5, max_sweeps=10)
+    assert est.bisections == 1
+    assert est.value == float(opt_bruteforce(inst))
+    assert any("integer optimum 1" in n for n in est.notes)
 
 
 def test_lasserre_value_at_least_opt_minus_tol(rng):
@@ -89,12 +133,6 @@ def test_lasserre_validation():
         lasserre_value(uniform_gap_instance(30, "1/10"), 3)
     with pytest.raises(ValueError):
         lasserre_value(make_instance([1, 2], [1, 1], 2), 2, symmetry=True)
-
-
-def test_parallel_block_projection_agrees_on_the_hull():
-    inst = make_instance([1, 2], [3, 2], 2)
-    est = lasserre_value(inst, 2, threads=2)
-    assert abs(est.value - 3.0) <= 1e-4
 
 
 def test_gap_table_sa():

@@ -28,18 +28,6 @@ def test_sa_cert_grid_matches_closed_form():
                                           (20, 2), (20, 3), (20, 4), (20, 5)]
 
 
-def test_threads_preserve_order_and_values():
-    cfg = SweepConfig(family="uniform", n_values=(5, 6),
-                      eps_values=("1/10",), t_values=(2, 3),
-                      modes=("sa-cert", "sa-lp"))
-    sequential = run_sweep(cfg)
-    cfg.threads = 3
-    parallel = run_sweep(cfg)
-    strip = lambda rows: [(r.instance, r.t, r.mode, r.value, r.ratio, r.status)
-                          for r in rows]
-    assert strip(sequential) == strip(parallel)
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         SweepConfig(t_values=()).validate()
@@ -103,6 +91,10 @@ def test_per_row_errors_do_not_abort(tmp_path):
     assert [r.status for r in rows] == ["error", "exact"]
     assert rows[0].value == "" and rows[0].ratio == ""
     assert rows[1].value == "3"
+    # the failed row says why, outside the CSV columns
+    assert rows[0].error.startswith("ValueError: ") and "uniform" in rows[0].error
+    assert rows[1].error == ""
+    assert "error" not in CSV_HEADER
 
 
 def test_emit_csv_contracts(tmp_path):
@@ -121,11 +113,18 @@ def test_emit_csv_contracts(tmp_path):
     assert path.read_text(encoding="utf-8").splitlines() == [",".join(CSV_HEADER)]
 
 
-def test_rows_to_csv_text():
+def test_rows_to_csv_text(tmp_path):
     row = ResultRow("x", 2, "", 1, "sa-lp", "3", "1", "exact", 1)
     text = rows_to_csv_text([row])
     assert text == ("instance,n,eps,t,mode,value,ratio,status,runtime_ms\n"
                     "x,2,,1,sa-lp,3,1,exact,1\n")
+    # a comma in a field is quoted, and the file gets exactly the stdout text
+    rows = [row, ResultRow("a,b", 2, "", 1, "sa-lp", "3", "1", "exact", 1)]
+    text = rows_to_csv_text(rows)
+    assert text.splitlines()[2] == '"a,b",2,,1,sa-lp,3,1,exact,1'
+    path = tmp_path / "out.csv"
+    emit_csv(rows, str(path))
+    assert path.read_bytes() == text.encode("utf-8")
 
 
 def test_exact_columns_reproduce_byte_identically():
