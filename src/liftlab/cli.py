@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .decomposition import big_items, decompose, verify_decomposition
+from .decomposition import big_items, check_split, decompose, verify_decomposition
 from .hierarchy import lasserre_membership, sa_membership, verify_gap_certificate
 from .knapsack import instance_from_json
 from .rationals import rat_str
@@ -88,6 +88,7 @@ def _cmd_decompose(args) -> int:
         s_mask = mask_of(int(x) for x in args.s.split(",") if x != "")
     else:
         s_mask = big_items(inst, args.k)
+    check_split(inst, s_mask, args.k, args.t)  # a usage error exits 2 in main
     try:
         result = decompose(y, inst, s_mask, args.k, args.t)
         report = verify_decomposition(result, y, inst, args.t, args.k)

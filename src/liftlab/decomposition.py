@@ -74,6 +74,16 @@ def t_families(n: int, s_mask: int, t: int, k: int) -> tuple[SubsetFamily, Subse
     return SubsetFamily(t1), SubsetFamily(t2)
 
 
+def check_split(inst: KnapsackInstance, s_mask: int, k: int, t: int):
+    """Reject split arguments that no input point could satisfy."""
+    if not 1 <= k < t:
+        raise ValueError("need 1 <= k < t")
+    if s_mask.bit_count() > MAX_SPLIT_SET:
+        raise ValueError(f"|S| capped at {MAX_SPLIT_SET}")
+    if s_mask >> inst.n:
+        raise ValueError("S outside the ground set")
+
+
 def decompose(y: SetVector, inst: KnapsackInstance, s_mask: int,
               k: int, t: int) -> DecompositionResult:
     """Split y (in La_t, vanishing on |I n S| >= k) into sum of z^X_0 * w^X.
@@ -82,12 +92,7 @@ def decompose(y: SetVector, inst: KnapsackInstance, s_mask: int,
     to 1, and sum weight * w^X reproducing y on P_{2t-2k}(V). A negative
     weight signals the input was not Lasserre-feasible and is an error.
     """
-    if not 1 <= k < t:
-        raise ValueError("need 1 <= k < t")
-    if s_mask.bit_count() > MAX_SPLIT_SET:
-        raise ValueError(f"|S| capped at {MAX_SPLIT_SET}")
-    if s_mask >> inst.n:
-        raise ValueError("S outside the ground set")
+    check_split(inst, s_mask, k, t)
     if not vanishing_condition(y, s_mask, k):
         raise ValueError("vanishing condition |I n S| >= k => y_I = 0 fails")
     yext = extend(y)

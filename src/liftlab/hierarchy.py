@@ -2,9 +2,10 @@
 constraints, and the uniform-knapsack gap certificate.
 
 Lifted points are SetVectors over P_t(V) (SA) or P_2t(V) (Lasserre)
-with y_0 = 1. Both membership checkers include the box constraints
-x_i >= 0 and 1 - x_i >= 0 alongside the capacity constraint; without
-them neither definition pins down [0,1] localization.
+with y_0 = 1. Both membership checkers test the moment condition and
+the capacity localizer; the box localizers are implied (see their
+docstrings), and the moment condition alone keeps each y_i in [0, 1]
+(SA base values y_i and 1 - y_i; Lasserre minor [[1, y_i], [y_i, y_i]]).
 """
 
 from __future__ import annotations
@@ -12,19 +13,18 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .knapsack import (KnapsackInstance, LinearConstraint, Solution,
-                       all_constraints, uniform_gap_instance)
+from .knapsack import KnapsackInstance, Solution, uniform_gap_instance
 from .psd import psd_exact_witness
 from .rationals import Q, ZERO, ONE, rat, rat_str
-from .subsets import (SetVector, SubsetFamily, family_p_t, indices_of,
-                      mask_of, moment_matrix, submasks)
+from .subsets import (SetVector, count_p_t, family_p_t, indices_of, mask_of,
+                      moment_matrix, submasks)
 
 
 @dataclass(frozen=True)
 class Violation:
     kind: str          # which matrix or inequality family failed
     witness: tuple     # item indices of the witnessing subset family / pair
-    margin: object = None  # offending value (negative pivot, slack, ...)
+    margin: object = None  # offending value (negative pivot or Moebius difference, ...)
 
     def describe(self) -> str:
         margin = "" if self.margin is None else f" (margin {self.margin})"
@@ -86,51 +86,37 @@ def convex_combination(parts) -> SetVector:
     return SetVector(n, values)
 
 
-def _iter_subsets(n: int, sizes) -> "itertools.chain":
-    return itertools.chain.from_iterable(
-        itertools.combinations(range(n), k) for k in sizes)
+def _capacity_shift(y: SetVector, inst: KnapsackInstance):
+    """Memoized entries of g*y for the capacity g: C y_K - sum_i c_i y_{K u i}."""
+    sizes = [(1 << i, c) for i, c in enumerate(inst.sizes)]
+    memo = {}
 
-
-class _ShiftedValues:
-    """Lazy, memoized entries of g*y: (g*y)_K = b y_K + sum_i a_i y_{K u i}."""
-
-    __slots__ = ("y", "terms", "offset", "memo")
-
-    def __init__(self, y: SetVector, g: LinearConstraint):
-        self.y = y
-        self.offset = g.offset
-        self.terms = [(1 << i, a) for i, a in enumerate(g.coefficients) if a != 0]
-        self.memo = {}
-
-    def __call__(self, mask: int):
-        v = self.memo.get(mask)
+    def value(mask: int):
+        v = memo.get(mask)
         if v is None:
-            y = self.y
-            v = self.offset * y[mask]
-            for bit, a in self.terms:
-                v += a * y[mask | bit]
-            self.memo[mask] = v
+            v = memo[mask] = inst.capacity * y[mask] - sum(
+                (c * y[mask | bit] for bit, c in sizes), ZERO)
         return v
+    return value
 
 
-def _powerset_psd(values, u_mask: int, cache: dict):
-    """Exact PSD check of M_P(U)(values), memoized on the value pattern.
+def _mobius_min(values, u_mask: int):
+    """Smallest B(I, U\\I) = sum_{L <= U\\I} (-1)^|L| v_{I u L} over I <= U.
 
-    `values` maps a bitmask to a rational; every entry of the matrix is
-    a union of submasks of U, hence determined by the 2^|U| values on
-    P(U). Distinct families with the same pattern (ubiquitous on
-    symmetric instances) share one elimination.
+    `values` maps a bitmask to a rational. M_P(U)(v) = Z diag(B) Z^T
+    with Z[A, I] = [A <= I] unit triangular (Laurent 2003), so the
+    matrix is PSD iff this minimum is >= 0. The 2^|U| values on P(U)
+    are differenced in place, one item of U at a time.
     """
-    subs = sorted(submasks(u_mask))
-    key = tuple(values(s) for s in subs)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    val = dict(zip(subs, key))
-    rows = [[val[a | b] for b in subs] for a in subs]
-    res = psd_exact_witness(rows)
-    cache[key] = res
-    return res
+    # in numeric order, bit j of a submask's position is the j-th item of U
+    v = [values(m) for m in sorted(submasks(u_mask))]
+    step = 1
+    while step < len(v):
+        for base in range(0, len(v), 2 * step):
+            for s in range(base, base + step):
+                v[s] -= v[s + step]
+        step *= 2
+    return min(v)
 
 
 def _check_unit_and_range(y: SetVector, report: MembershipReport):
@@ -145,16 +131,21 @@ def _check_unit_and_range(y: SetVector, report: MembershipReport):
 def _require_support(y: SetVector, n: int, depth: int, what: str):
     if y.n != n:
         raise ValueError(f"{what}: ground-set size mismatch")
-    need = sum(1 for _ in _iter_subsets(n, range(depth + 1)))
-    if not y.extended and len(y.values) < need:
+    if not y.extended and len(y.values) < count_p_t(n, depth):
         raise ValueError(f"{what}: vector must be defined on all subsets of size <= {depth}")
 
 
 def sa_membership(y: SetVector, inst: KnapsackInstance, t: int) -> MembershipReport:
     """Membership in the level-t Sherali-Adams lifted polytope.
 
-    Checks y_0 = 1, M_P(U)(y) PSD for |U| <= t and M_P(W)(g*y) PSD for
-    |W| <= t-1 over the capacity and box constraints.
+    Checks y_0 = 1, 0 <= y <= 1, M_P(U)(y) PSD for |U| = t and
+    M_P(W)(g*y) PSD for the capacity constraint g and |W| = t-1, each as
+    a sign test on Moebius differences (`_mobius_min`). Smaller U and W
+    need no check: they give principal submatrices. Nor do the box
+    localizers: the Moebius differences of x_i*y over P(W) are
+    B(I u i, W\\I) if i is not in W, and B(I, W\\I) or 0 if it is; those
+    of (1-x_i)*y are B(I, (W\\I) u i), or 0 or B(I, W\\I). All are
+    base values of y over a U with |U| <= t.
     """
     if not 1 <= t <= inst.n:
         raise ValueError("level t must satisfy 1 <= t <= n")
@@ -163,29 +154,29 @@ def sa_membership(y: SetVector, inst: KnapsackInstance, t: int) -> MembershipRep
     report = MembershipReport()
     _check_unit_and_range(y, report)
 
-    cache = {}
-    for combo in _iter_subsets(n, range(t + 1)):
-        ok, bad = _powerset_psd(y.__getitem__, mask_of(combo), cache)
-        report.checked += 1
-        if not ok:
-            report.add("moment M_P(U)", combo, bad)
-
-    for gi, g in enumerate(all_constraints(inst)):
-        shifted = _ShiftedValues(y, g)
-        cache = {}
-        for combo in _iter_subsets(n, range(t)):
-            ok, bad = _powerset_psd(shifted, mask_of(combo), cache)
+    capacity = _capacity_shift(y, inst)
+    for kind, values, size in (("moment M_P(U)", y.__getitem__, t),
+                               ("constraint[0] M_P(W)(g*y)", capacity, t - 1)):
+        for combo in itertools.combinations(range(n), size):
+            low = _mobius_min(values, mask_of(combo))
             report.checked += 1
-            if not ok:
-                report.add(f"constraint[{gi}] M_P(W)(g*y)", combo, bad)
+            if low < 0:
+                report.add(kind, combo, low)
     return report
 
 
 def lasserre_membership(y: SetVector, inst: KnapsackInstance, t: int) -> MembershipReport:
     """Membership in the level-t Lasserre lifted polytope.
 
-    Checks y_0 = 1, M_{P_t(V)}(y) PSD, and M_{P_{t-1}(V)}(g*y) PSD for
-    the capacity and box constraints; y must live on P_2t(V).
+    Checks y_0 = 1, 0 <= y <= 1, M_{P_t(V)}(y) PSD, and
+    M_{P_{t-1}(V)}(g*y) PSD for the capacity constraint g; y must live
+    on P_2t(V). The box localizers are congruences of M = M_{P_t(V)}(y),
+    hence PSD whenever M is:
+    - M_{P_{t-1}}(x_i*y) = P^T M P with P[I u i, I] = 1, since its
+      (I, J) entry is y_{I u J u i} = M[I u i, J u i];
+    - M_{P_{t-1}}((1-x_i)*y) = Q^T M Q with column I of Q equal to
+      e_I - e_{I u i}, since M[I, J] - M[I, J u i] - M[I u i, J]
+      + M[I u i, J u i] = y_{I u J} - y_{I u J u i}.
     """
     if not 1 <= t <= inst.n:
         raise ValueError("level t must satisfy 1 <= t <= n")
@@ -194,20 +185,17 @@ def lasserre_membership(y: SetVector, inst: KnapsackInstance, t: int) -> Members
     report = MembershipReport()
     _check_unit_and_range(y, report)
 
-    fam_t = family_p_t(n, t)
-    ok, bad = psd_exact_witness(moment_matrix(y, fam_t))
+    ok, bad = psd_exact_witness(moment_matrix(y, family_p_t(n, t)))
     report.checked += 1
     if not ok:
         report.add("moment M_Pt(V)", (t,), bad)
 
-    fam_tm1 = family_p_t(n, t - 1)
-    for gi, g in enumerate(all_constraints(inst)):
-        shifted = _ShiftedValues(y, g)
-        rows = [[shifted(a | b) for b in fam_tm1.masks] for a in fam_tm1.masks]
-        ok, bad = psd_exact_witness(rows)
-        report.checked += 1
-        if not ok:
-            report.add(f"constraint[{gi}] M_Pt-1(V)(g*y)", (t - 1,), bad)
+    fam = family_p_t(n, t - 1).masks
+    shifted = _capacity_shift(y, inst)
+    ok, bad = psd_exact_witness([[shifted(a | b) for b in fam] for a in fam])
+    report.checked += 1
+    if not ok:
+        report.add("constraint[0] M_Pt-1(V)(g*y)", (t - 1,), bad)
     return report
 
 

@@ -19,15 +19,11 @@ from .knapsack import (KnapsackInstance, all_constraints, lp_value,
 from .psd import project_psd
 from .rationals import ZERO, rat_str
 from .simplex import LPProblem, simplex_exact
-from .subsets import family_p_t
+from .subsets import count_p_t, family_p_t
 
 SA_VARIABLE_CAP = 2000
 LASSERRE_DIM_CAP = 400
 FEAS_TOL = 1e-7
-
-
-def _comb_count(n: int, t: int) -> int:
-    return sum(math.comb(n, k) for k in range(t + 1))
 
 
 def sa_lp_problem(inst: KnapsackInstance, t: int) -> LPProblem:
@@ -44,6 +40,7 @@ def sa_lp_problem(inst: KnapsackInstance, t: int) -> LPProblem:
 
     def add_geq0(coeffs: dict):
         const = coeffs.pop(0, ZERO)
+        coeffs = {m: c for m, c in coeffs.items() if c != 0}
         if coeffs:
             problem.add(coeffs, ">=", -const)
         elif const < 0:
@@ -60,7 +57,7 @@ def sa_value(inst: KnapsackInstance, t: int):
     """Exact optimum of the level-t linear SA relaxation."""
     if t < 1:
         raise ValueError("level t must be >= 1")
-    if _comb_count(inst.n, t) > SA_VARIABLE_CAP:
+    if count_p_t(inst.n, t) > SA_VARIABLE_CAP:
         raise ValueError(f"variable count exceeds {SA_VARIABLE_CAP}")
     value, _ = simplex_exact(sa_lp_problem(inst, t))
     return value
@@ -253,7 +250,7 @@ def lasserre_value(inst: KnapsackInstance, t: int, tol: float = 1e-4,
     """
     if not 1 <= t <= inst.n:
         raise ValueError("level t must satisfy 1 <= t <= n")
-    if _comb_count(inst.n, t) > LASSERRE_DIM_CAP:
+    if count_p_t(inst.n, t) > LASSERRE_DIM_CAP:
         raise ValueError(f"moment-matrix dimension exceeds {LASSERRE_DIM_CAP}")
     if tol <= 0:
         raise ValueError("tol must be positive")

@@ -8,6 +8,7 @@ at n <= 20.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .rationals import Q, ZERO, ONE, rat, rat_str
@@ -83,6 +84,11 @@ class SubsetFamily:
 
     def __repr__(self):
         return f"SubsetFamily({len(self.masks)} sets)"
+
+
+def count_p_t(n: int, t: int) -> int:
+    """|P_t(V)| for |V| = n: the number of subsets of size at most t."""
+    return sum(math.comb(n, k) for k in range(t + 1))
 
 
 def family_p_t(n: int, t: int) -> SubsetFamily:

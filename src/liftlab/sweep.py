@@ -21,8 +21,9 @@ from .hierarchy import (certificate_alpha, convex_combination,
 from .knapsack import (KnapsackInstance, Solution, instance_from_json,
                        opt_bruteforce, uniform_gap_instance)
 from .rationals import Q, rat, rat_str
-from .solvers import (LASSERRE_DIM_CAP, SA_VARIABLE_CAP, _comb_count,
-                      lasserre_value, sa_value)
+from .solvers import (LASSERRE_DIM_CAP, SA_VARIABLE_CAP, lasserre_value,
+                      sa_value)
+from .subsets import count_p_t
 
 MODES = ("sa-cert", "sa-lp", "lasserre", "decompose")
 
@@ -120,9 +121,9 @@ def _instances(cfg: SweepConfig):
 def _enforce_caps(grid):
     # fail the whole sweep up front rather than mid-run
     for _, inst, _, t, mode in grid:
-        if mode == "sa-lp" and _comb_count(inst.n, t) > SA_VARIABLE_CAP:
+        if mode == "sa-lp" and count_p_t(inst.n, t) > SA_VARIABLE_CAP:
             raise ValueError(f"sa-lp over the variable cap at n={inst.n}, t={t}")
-        if mode == "lasserre" and _comb_count(inst.n, t) > LASSERRE_DIM_CAP:
+        if mode == "lasserre" and count_p_t(inst.n, t) > LASSERRE_DIM_CAP:
             raise ValueError(f"lasserre over the dimension cap at n={inst.n}, t={t}")
 
 

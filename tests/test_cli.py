@@ -113,6 +113,22 @@ def test_decompose_failure_exits_one(tmp_path, capsys):
     assert "not Lasserre-feasible" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [["--t", "2", "--k", "2"],
+                                   ["--t", "3", "--k", "2", "--s", "5"]])
+def test_decompose_usage_errors_exit_two(tmp_path, capsys, flags):
+    inst = uniform_gap_instance(4, "1/10")
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(instance_to_json(inst), encoding="utf-8")
+    point = tmp_path / "pt.json"
+    point.write_text(setvector_to_json(integer_to_moment(inst, Solution(1), 6)),
+                     encoding="utf-8")
+    code = main(["decompose", "--instance", str(inst_path), "--point",
+                 str(point)] + flags)
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
 def test_missing_file_is_usage_error(capsys):
     code = main(["sa-value", "--instance", "/nonexistent.json", "--t", "1"])
     assert code == 2

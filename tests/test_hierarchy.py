@@ -2,10 +2,11 @@ import itertools
 
 import pytest
 
-from liftlab import (Q, SetVector, Solution, certificate_alpha,
-                     convex_combination, integer_to_moment,
-                     lasserre_membership, make_instance, mask_of,
-                     sa_gap_certificate, sa_linear_constraints, sa_membership,
+from liftlab import (Q, SetVector, Solution, all_constraints,
+                     certificate_alpha, convex_combination, family_p_t,
+                     family_powerset, integer_to_moment, lasserre_membership,
+                     make_instance, mask_of, psd_exact, sa_gap_certificate,
+                     sa_linear_constraints, sa_membership,
                      uniform_gap_instance, verify_gap_certificate)
 
 from conftest import mixture_moment, point_mixture, rand_instance
@@ -173,3 +174,69 @@ def test_lasserre_rejects_padded_sa_certificate():
             values[mask_of(combo)] = alpha if size == 1 else Q(0)
     padded = SetVector(n, values)
     assert not lasserre_membership(padded, inst, 2).accepted
+
+
+def _psd_on(values, masks):
+    return psd_exact([[values(a | b) for b in masks] for a in masks])
+
+
+def _dense_oracle(y, inst, t, lasserre):
+    """Membership straight from the definition: y_0 = 1, 0 <= y <= 1, and
+    every moment and localizing matrix, over all 2n+1 constraints, PSD."""
+    if y[0] != 1 or not all(0 <= v <= 1 for v in y.values.values()):
+        return False
+    # (g*y)_K = b y_K + sum_i a_i y_{K u i} on every K a localizer reads
+    reach = family_p_t(inst.n, (2 * t if lasserre else t) - 1).masks
+    shifted = [{m: g.offset * y[m] + sum((a * y[m | 1 << i] for i, a in
+                                          enumerate(g.coefficients)), Q(0))
+                for m in reach}.__getitem__
+               for g in all_constraints(inst)]
+    if lasserre:
+        fam_t, fam_tm1 = family_p_t(inst.n, t).masks, family_p_t(inst.n, t - 1).masks
+        return (_psd_on(y.__getitem__, fam_t)
+                and all(_psd_on(g, fam_tm1) for g in shifted))
+    return (all(_psd_on(y.__getitem__, family_powerset(u).masks)
+                for u in family_p_t(inst.n, t))
+            and all(_psd_on(g, family_powerset(w).masks)
+                    for w in family_p_t(inst.n, t - 1) for g in shifted))
+
+
+def test_membership_agrees_with_the_dense_definition(rng):
+    # mixtures of feasible 0/1 points, every other one nudged off the hull
+    # in a few coordinates (kept inside [0, 1] so the PSD tests decide)
+    verdicts = {"sa": set(), "lasserre": set()}
+    for case in range(500):
+        inst = rand_instance(rng, rng.randint(1, 5))
+        t = rng.randint(1, inst.n)
+        pts = rng.sample(feasible_points(inst), k=min(inst.n, rng.randint(1, 4)))
+        y = mixture_moment(inst, point_mixture(rng, pts), 2 * t)
+        if case % 2:
+            for m in rng.sample(sorted(y.values)[1:], k=min(2, len(y.values) - 1)):
+                nudged = y.values[m] + Q(rng.randint(-3, 3), rng.randint(5, 40))
+                y.values[m] = min(max(nudged, Q(0)), Q(1))
+        y_sa = SetVector(inst.n, {m: v for m, v in y.values.items()
+                                  if m.bit_count() <= t})
+        for name, point, check in (("sa", y_sa, sa_membership),
+                                   ("lasserre", y, lasserre_membership)):
+            expected = _dense_oracle(point, inst, t, name == "lasserre")
+            assert check(point, inst, t).accepted == expected, (name, case)
+            verdicts[name].add(expected)
+    assert verdicts == {"sa": {True, False}, "lasserre": {True, False}}
+
+
+def test_sa_checks_one_family_per_maximal_set():
+    # y_0 and range (1 + |P_2(V)| = 23), C(6,2) moment and C(6,1)
+    # capacity families
+    check = verify_gap_certificate(6, "1/10", 2, "1/2")
+    assert check.report.accepted
+    assert check.report.checked == 1 + 22 + 15 + 6
+
+
+def test_sa_margin_is_the_most_negative_moebius_difference():
+    # at U = {0, 1}: B({0},{1}) = B({1},{0}) = 3/5, B({0,1},{}) = 0 and
+    # B({},{0,1}) = 1 - 3/5 - 3/5 = -1/5
+    inst = uniform_gap_instance(2, "1/10")
+    y = SetVector(2, {0: Q(1), 0b01: Q(3, 5), 0b10: Q(3, 5), 0b11: Q(0)})
+    report = sa_membership(y, inst, 2)
+    moment = [v for v in report.violations if v.kind == "moment M_P(U)"]
+    assert [(v.witness, v.margin) for v in moment] == [((0, 1), Q(-1, 5))]

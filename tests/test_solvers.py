@@ -60,6 +60,20 @@ def test_sa_lp_rows_are_rows_of_the_linear_system(rng):
             assert _normalized(coeffs, rhs) in full, (inst, t, coeffs, rhs)
 
 
+def test_sa_lp_rows_have_no_zero_coefficients(rng):
+    # one item filling the knapsack: its level-2 capacity row at
+    # I = {0}, J = {} is (C - c_0) y_{0} = 0 y_{0}
+    cases = [(make_instance([1], [6], 1), 2)]
+    cases += [(rand_instance(rng, rng.randint(1, 5)), t)
+              for _ in range(4) for t in (1, 2, 3)]
+    for inst, t in cases:
+        problem = sa_lp_problem(inst, t)
+        for coeffs, _, _ in problem.constraints:
+            assert all(c != 0 for c in coeffs.values()), (inst, t, coeffs)
+        assert sa_value(inst, t) == simplex_exact(_full_sa_lp(inst, t))[0]
+    assert sa_value(cases[0][0], 2) == 6
+
+
 def test_sa_value_dominates_certificate():
     # the certificate is feasible for the linear system, so the optimum
     # cannot be smaller than its objective
