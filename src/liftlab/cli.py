@@ -85,7 +85,10 @@ def _cmd_decompose(args) -> int:
     inst = _load_instance(args.instance)
     y = _load_point(args.point, inst.n)
     if args.s is not None:
-        s_mask = mask_of(int(x) for x in args.s.split(",") if x != "")
+        items = [int(x) for x in args.s.split(",") if x != ""]
+        if any(i < 0 for i in items):
+            raise ValueError(f"--s: item index {min(items)} is negative")
+        s_mask = mask_of(items)
     else:
         s_mask = big_items(inst, args.k)
     check_split(inst, s_mask, args.k, args.t)  # a usage error exits 2 in main

@@ -119,13 +119,15 @@ def _mobius_min(values, u_mask: int):
     return min(v)
 
 
-def _check_unit_and_range(y: SetVector, report: MembershipReport):
+def _check_unit_and_range(y: SetVector, depth: int, report: MembershipReport):
+    # entries beyond P_depth(V) are never read by the level's definition
     if y.get(0) != 1:
         report.add("y_empty", (), y.get(0) - 1)
-    for m, v in y.values.items():
+    level = [(m, v) for m, v in y.values.items() if m.bit_count() <= depth]
+    for m, v in level:
         if not (0 <= v <= 1):
             report.add("range", indices_of(m), v)
-    report.checked += 1 + len(y.values)
+    report.checked += 1 + len(level)
 
 
 def _require_support(y: SetVector, n: int, depth: int, what: str):
@@ -138,7 +140,7 @@ def _require_support(y: SetVector, n: int, depth: int, what: str):
 def sa_membership(y: SetVector, inst: KnapsackInstance, t: int) -> MembershipReport:
     """Membership in the level-t Sherali-Adams lifted polytope.
 
-    Checks y_0 = 1, 0 <= y <= 1, M_P(U)(y) PSD for |U| = t and
+    Checks y_0 = 1, 0 <= y_K <= 1 on P_t(V), M_P(U)(y) PSD for |U| = t and
     M_P(W)(g*y) PSD for the capacity constraint g and |W| = t-1, each as
     a sign test on Moebius differences (`_mobius_min`). Smaller U and W
     need no check: they give principal submatrices. Nor do the box
@@ -152,7 +154,7 @@ def sa_membership(y: SetVector, inst: KnapsackInstance, t: int) -> MembershipRep
     _require_support(y, inst.n, t, "sa_membership")
     n = inst.n
     report = MembershipReport()
-    _check_unit_and_range(y, report)
+    _check_unit_and_range(y, t, report)
 
     capacity = _capacity_shift(y, inst)
     for kind, values, size in (("moment M_P(U)", y.__getitem__, t),
@@ -168,7 +170,7 @@ def sa_membership(y: SetVector, inst: KnapsackInstance, t: int) -> MembershipRep
 def lasserre_membership(y: SetVector, inst: KnapsackInstance, t: int) -> MembershipReport:
     """Membership in the level-t Lasserre lifted polytope.
 
-    Checks y_0 = 1, 0 <= y <= 1, M_{P_t(V)}(y) PSD, and
+    Checks y_0 = 1, 0 <= y_K <= 1 on P_2t(V), M_{P_t(V)}(y) PSD, and
     M_{P_{t-1}(V)}(g*y) PSD for the capacity constraint g; y must live
     on P_2t(V). The box localizers are congruences of M = M_{P_t(V)}(y),
     hence PSD whenever M is:
@@ -183,7 +185,7 @@ def lasserre_membership(y: SetVector, inst: KnapsackInstance, t: int) -> Members
     _require_support(y, inst.n, 2 * t, "lasserre_membership")
     n = inst.n
     report = MembershipReport()
-    _check_unit_and_range(y, report)
+    _check_unit_and_range(y, 2 * t, report)
 
     ok, bad = psd_exact_witness(moment_matrix(y, family_p_t(n, t)))
     report.checked += 1

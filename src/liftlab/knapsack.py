@@ -102,7 +102,7 @@ def box_constraints(inst: KnapsackInstance) -> list[LinearConstraint]:
 
 
 def all_constraints(inst: KnapsackInstance) -> list[LinearConstraint]:
-    """Capacity first, then the box constraints; the order is part of reports."""
+    """Capacity first, then the box constraints (the dense-definition test oracle)."""
     return [capacity_constraint(inst)] + box_constraints(inst)
 
 

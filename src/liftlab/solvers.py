@@ -2,8 +2,9 @@
 
 sa_value: exact rational simplex over the linear SA system.
 lasserre_value: bisection on the objective with alternating projections
-onto the PSD blocks; its result is a numerical LOWER estimate of the
-Lasserre optimum (it can corroborate upper bounds, never refute them).
+onto the moment and capacity-localizer PSD blocks; its result is a
+numerical LOWER estimate of the Lasserre optimum (it can corroborate
+upper bounds, never refute them).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hierarchy import _capacity_row, _disjoint_pairs, _signed_base
-from .knapsack import (KnapsackInstance, all_constraints, lp_value,
+from .knapsack import (KnapsackInstance, capacity_constraint, lp_value,
                        opt_solution)
 from .psd import project_psd
 from .rationals import ZERO, rat_str
@@ -113,8 +114,8 @@ class _BlockData:
             coords.append(cs)
             coefs.append(cf)
             norm2 = float(cf @ cf)
-            # e.g. ((1-x_i)*y)_K vanishes identically when i is in K;
-            # such rows carry no degree of freedom to correct
+            # (g*y)_K vanishes identically only when K = V and C = cost(V);
+            # such a row carries no degree of freedom to correct
             invn.append(1.0 / norm2 if norm2 else 0.0)
         self.row_coords = coords
         self.row_coefs = coefs
@@ -152,27 +153,17 @@ class _LasserreWorkspace:
         n = inst.n
         if symmetry and not inst.is_uniform():
             raise ValueError("symmetry flag requires a uniform instance")
-        self.inst = inst
-        self.t = t
         self.masks = family_p_t(n, 2 * t).masks
         self.index = {m: i for i, m in enumerate(self.masks)}
-        self.size = len(self.masks)
         self.card = np.array([m.bit_count() for m in self.masks], dtype=np.intp)
         self.card_counts = np.bincount(self.card).astype(float)
         self.symmetry = symmetry
         self.singles = np.array([self.index[1 << i] for i in range(n)], dtype=np.intp)
         self.obj_vec = np.array([float(v) for v in inst.values])
         self.obj_norm2 = float(self.obj_vec @ self.obj_vec)
-
-        constraints = all_constraints(inst)
-        if symmetry:
-            # all items are exchangeable once y is tied by cardinality:
-            # one representative box pair suffices alongside the capacity row
-            constraints = [constraints[0], constraints[1], constraints[1 + n]]
-        fam_t = family_p_t(n, t)
-        fam_tm1 = family_p_t(n, t - 1)
-        self.blocks = [_BlockData(self.index, fam_t, None)]
-        self.blocks += [_BlockData(self.index, fam_tm1, g) for g in constraints]
+        self.blocks = [_BlockData(self.index, family_p_t(n, t), None),
+                       _BlockData(self.index, family_p_t(n, t - 1),
+                                  capacity_constraint(inst))]
 
     def symmetrize(self, y):
         if self.symmetry:
@@ -200,12 +191,7 @@ class _LasserreWorkspace:
         return max(affine, eig)
 
     def integer_point(self, sol) -> np.ndarray:
-        y = np.zeros(self.size)
-        chosen = sol.chosen
-        for i, m in enumerate(self.masks):
-            if m & ~chosen == 0:
-                y[i] = 1.0
-        return y
+        return np.array([float(m & ~sol.chosen == 0) for m in self.masks])
 
     def feasibility(self, tau, start, max_sweeps):
         """Alternating projections; returns (feasible, point, residual, sweeps)."""
@@ -243,10 +229,14 @@ def lasserre_value(inst: KnapsackInstance, t: int, tol: float = 1e-4,
     """Approximate level-t Lasserre optimum by bisection on the objective.
 
     Feasibility of {objective >= tau} within the lifted polytope is
-    tested with cyclic projections (PSD blocks via eigenvalue clamping,
-    affine/box in closed form); tau counts as reachable only when the
-    combined residual drops below 1e-7. The returned value is the
-    objective of the best near-feasible point: a lower estimate.
+    tested with cyclic projections onto the blocks M_{P_t}(y) and
+    M_{P_{t-1}}(g*y) for the capacity g (eigenvalue clamping) and the
+    affine/box set (closed form); tau counts as reachable only when the
+    combined residual drops below FEAS_TOL. The returned value is the
+    objective of the best near-feasible point: a lower estimate. The box
+    localizers are congruences P^T M P, Q^T M Q of the moment matrix M
+    with ||P||^2 = ||Q||^2 = 2 (see `lasserre_membership`), so their
+    smallest eigenvalues stay above -2 * FEAS_TOL without a block.
     """
     if not 1 <= t <= inst.n:
         raise ValueError("level t must satisfy 1 <= t <= n")
@@ -254,6 +244,8 @@ def lasserre_value(inst: KnapsackInstance, t: int, tol: float = 1e-4,
         raise ValueError(f"moment-matrix dimension exceeds {LASSERRE_DIM_CAP}")
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if max_sweeps < 1:
+        raise ValueError("max_sweeps must be >= 1")
     ws = _LasserreWorkspace(inst, t, symmetry)
 
     sol, opt_val = opt_solution(inst)

@@ -59,6 +59,14 @@ def test_lasserre_value(inst_file, capsys):
     assert out["value"] >= 3.0 - 1e-3  # never below the integer optimum
 
 
+def test_lasserre_value_rejects_nonpositive_sweep_budget(inst_file, capsys):
+    _, path = inst_file
+    code = main(["lasserre-value", "--instance", path, "--t", "1",
+                 "--max-sweeps", "-3"])
+    assert code == 2
+    assert "max_sweeps" in capsys.readouterr().err
+
+
 def test_verify_accepts_integer_point(inst_file, tmp_path, capsys):
     inst, path = inst_file
     point = tmp_path / "pt.json"
@@ -114,7 +122,8 @@ def test_decompose_failure_exits_one(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flags", [["--t", "2", "--k", "2"],
-                                   ["--t", "3", "--k", "2", "--s", "5"]])
+                                   ["--t", "3", "--k", "2", "--s", "5"],
+                                   ["--t", "3", "--k", "2", "--s", "-1"]])
 def test_decompose_usage_errors_exit_two(tmp_path, capsys, flags):
     inst = uniform_gap_instance(4, "1/10")
     inst_path = tmp_path / "inst.json"
@@ -127,6 +136,8 @@ def test_decompose_usage_errors_exit_two(tmp_path, capsys, flags):
     assert code == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+    if "-1" in flags:
+        assert "-1" in err[0]
 
 
 def test_missing_file_is_usage_error(capsys):

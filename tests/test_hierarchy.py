@@ -94,6 +94,24 @@ def test_range_violations_reported():
     assert any(v.kind == "y_empty" for v in report.violations)
 
 
+def test_range_check_reads_only_the_level():
+    # the moment vector of {0} stored to depth 4, with one entry beyond
+    # P_2(V) out of range: neither level-2 SA nor level-1 Lasserre reads it
+    inst = uniform_gap_instance(4, "1/10")
+    y = integer_to_moment(inst, Solution(0b1), 4)
+    y.values[0b1111] = Q(2)
+    p2 = len(family_p_t(4, 2).masks)
+    sa = sa_membership(y, inst, 2)
+    assert sa.accepted, sa.describe()
+    assert sa.checked == 1 + p2 + 6 + 4  # unit, range on P_2(V), |U| = 2, |W| = 1
+    la = lasserre_membership(y, inst, 1)
+    assert la.accepted, la.describe()
+    assert la.checked == 1 + p2 + 2
+    # level-2 Lasserre reads P_4(V), so the entry is rejected there
+    report = lasserre_membership(y, inst, 2)
+    assert ("range", (0, 1, 2, 3)) in [(v.kind, v.witness) for v in report.violations]
+
+
 def test_certificate_alpha_and_shape():
     alpha = certificate_alpha(20, Q(1, 10), 5)
     assert alpha == 2 * Q(9, 10) / (20 + 4 * Q(9, 10))

@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from liftlab import (LPProblem, Q, certificate_alpha, gap_table,
+from liftlab import (LPProblem, Q, certificate_alpha, family_p_t, gap_table,
                      lasserre_value, lp_value, make_instance, opt_bruteforce,
                      sa_linear_constraints, sa_lp_problem, sa_value,
                      simplex_exact, uniform_gap_instance)
@@ -137,6 +138,24 @@ def test_lasserre_monotone_within_tolerance():
     assert values[1] + 2 * tol >= values[2]
 
 
+def test_lasserre_output_satisfies_the_box_localizers():
+    # the optimizer projects onto the moment and capacity blocks only; the
+    # box localizers M_{P_1}(x_i*y) and M_{P_1}((1-x_i)*y) are congruences
+    # of the moment matrix and must come out PSD as well
+    inst = uniform_gap_instance(4, "1/10")
+    est = lasserre_value(inst, 2, symmetry=True, tol=0.1)
+    assert est.value > 1.1  # the estimate leaves the integer optimum
+    assert est.residual < 1e-7
+    fam = family_p_t(4, 1).masks
+    for i in range(4):
+        bit = 1 << i
+        lifted = np.array([[est.point[a | b | bit] for b in fam] for a in fam])
+        rest = np.array([[est.point[a | b] - est.point[a | b | bit] for b in fam]
+                         for a in fam])
+        for mat in (lifted, rest):
+            assert np.linalg.eigvalsh(mat)[0] >= -1e-6
+
+
 def test_lasserre_validation():
     inst = uniform_gap_instance(4, "1/10")
     with pytest.raises(ValueError):
@@ -147,6 +166,8 @@ def test_lasserre_validation():
         lasserre_value(uniform_gap_instance(30, "1/10"), 3)
     with pytest.raises(ValueError):
         lasserre_value(make_instance([1, 2], [1, 1], 2), 2, symmetry=True)
+    with pytest.raises(ValueError):
+        lasserre_value(inst, 2, max_sweeps=0)
 
 
 def test_gap_table_sa():
