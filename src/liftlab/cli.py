@@ -73,8 +73,7 @@ def _cmd_sa_value(args) -> int:
 
 def _cmd_lasserre_value(args) -> int:
     inst = _load_instance(args.instance)
-    est = lasserre_value(inst, args.t, tol=args.tol, symmetry=args.symmetry,
-                         max_sweeps=args.max_sweeps)
+    est = lasserre_value(inst, args.t, tol=args.tol, max_sweeps=args.max_sweeps)
     _emit(args, {"value": est.value, "mode": "lasserre",
                  "residual": est.residual, "iterations": est.sweeps},
           est.describe())
@@ -195,7 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--tol", type=float, default=1e-4)
-    p.add_argument("--symmetry", action="store_true")
     p.add_argument("--max-sweeps", type=int, default=50000)
     _common_flags(p)
     p.set_defaults(func=_cmd_lasserre_value)

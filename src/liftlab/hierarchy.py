@@ -119,22 +119,29 @@ def _mobius_min(values, u_mask: int):
     return min(v)
 
 
-def _check_unit_and_range(y: SetVector, depth: int, report: MembershipReport):
+def _check_level(y: SetVector, n: int, depth: int, what: str,
+                 report: MembershipReport):
+    """Support, y_0 = 1 and range checks on P_depth(V), one pass over y."""
+    if y.n != n:
+        raise ValueError(f"{what}: ground-set size mismatch")
     # entries beyond P_depth(V) are never read by the level's definition
+    level = [(m, v) for m, v in y.values.items()
+             if not m >> n and m.bit_count() <= depth]
+    # the stored masks are distinct, so they cover P_depth(V) iff there
+    # are count_p_t(n, depth) of them
+    if not y.extended and len(level) < count_p_t(n, depth):
+        # at most len(level) subsets come before the first missing one
+        missing = next(combo for size in range(depth + 1)
+                       for combo in itertools.combinations(range(n), size)
+                       if mask_of(combo) not in y.values)
+        raise ValueError(f"{what}: vector must be defined on all subsets of "
+                         f"size <= {depth}; missing {list(missing)}")
     if y.get(0) != 1:
         report.add("y_empty", (), y.get(0) - 1)
-    level = [(m, v) for m, v in y.values.items() if m.bit_count() <= depth]
     for m, v in level:
         if not (0 <= v <= 1):
             report.add("range", indices_of(m), v)
     report.checked += 1 + len(level)
-
-
-def _require_support(y: SetVector, n: int, depth: int, what: str):
-    if y.n != n:
-        raise ValueError(f"{what}: ground-set size mismatch")
-    if not y.extended and len(y.values) < count_p_t(n, depth):
-        raise ValueError(f"{what}: vector must be defined on all subsets of size <= {depth}")
 
 
 def sa_membership(y: SetVector, inst: KnapsackInstance, t: int) -> MembershipReport:
@@ -151,10 +158,9 @@ def sa_membership(y: SetVector, inst: KnapsackInstance, t: int) -> MembershipRep
     """
     if not 1 <= t <= inst.n:
         raise ValueError("level t must satisfy 1 <= t <= n")
-    _require_support(y, inst.n, t, "sa_membership")
     n = inst.n
     report = MembershipReport()
-    _check_unit_and_range(y, t, report)
+    _check_level(y, n, t, "sa_membership", report)
 
     capacity = _capacity_shift(y, inst)
     for kind, values, size in (("moment M_P(U)", y.__getitem__, t),
@@ -182,10 +188,9 @@ def lasserre_membership(y: SetVector, inst: KnapsackInstance, t: int) -> Members
     """
     if not 1 <= t <= inst.n:
         raise ValueError("level t must satisfy 1 <= t <= n")
-    _require_support(y, inst.n, 2 * t, "lasserre_membership")
     n = inst.n
     report = MembershipReport()
-    _check_unit_and_range(y, 2 * t, report)
+    _check_level(y, n, 2 * t, "lasserre_membership", report)
 
     ok, bad = psd_exact_witness(moment_matrix(y, family_p_t(n, t)))
     report.checked += 1

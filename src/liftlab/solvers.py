@@ -87,7 +87,6 @@ class _BlockData:
     def __init__(self, masks_index, family, g):
         fam = family.masks
         d = len(fam)
-        self.dim = d
         unions = sorted({fam[a] | fam[b] for a in range(d) for b in range(a, d)},
                         key=lambda m: (m.bit_count(), m))
         upos = {m: i for i, m in enumerate(unions)}
@@ -149,15 +148,13 @@ class _BlockData:
 
 
 class _LasserreWorkspace:
-    def __init__(self, inst: KnapsackInstance, t: int, symmetry: bool):
+    def __init__(self, inst: KnapsackInstance, t: int):
         n = inst.n
-        if symmetry and not inst.is_uniform():
-            raise ValueError("symmetry flag requires a uniform instance")
         self.masks = family_p_t(n, 2 * t).masks
         self.index = {m: i for i, m in enumerate(self.masks)}
         self.card = np.array([m.bit_count() for m in self.masks], dtype=np.intp)
         self.card_counts = np.bincount(self.card).astype(float)
-        self.symmetry = symmetry
+        self.symmetric = inst.is_uniform()
         self.singles = np.array([self.index[1 << i] for i in range(n)], dtype=np.intp)
         self.obj_vec = np.array([float(v) for v in inst.values])
         self.obj_norm2 = float(self.obj_vec @ self.obj_vec)
@@ -166,7 +163,7 @@ class _LasserreWorkspace:
                                   capacity_constraint(inst))]
 
     def symmetrize(self, y):
-        if self.symmetry:
+        if self.symmetric:  # orbit average over item permutations
             means = np.bincount(self.card, y) / self.card_counts
             y[:] = means[self.card]
 
@@ -189,9 +186,6 @@ class _LasserreWorkspace:
                      max(0.0, tau - self.objective(y)))
         eig = max((max(0.0, -b.min_eig(y)) for b in self.blocks))
         return max(affine, eig)
-
-    def integer_point(self, sol) -> np.ndarray:
-        return np.array([float(m & ~sol.chosen == 0) for m in self.masks])
 
     def feasibility(self, tau, start, max_sweeps):
         """Alternating projections; returns (feasible, point, residual, sweeps)."""
@@ -225,7 +219,7 @@ class _LasserreWorkspace:
 
 
 def lasserre_value(inst: KnapsackInstance, t: int, tol: float = 1e-4,
-                   symmetry: bool = False, max_sweeps: int = 50000) -> LasserreEstimate:
+                   max_sweeps: int = 50000) -> LasserreEstimate:
     """Approximate level-t Lasserre optimum by bisection on the objective.
 
     Feasibility of {objective >= tau} within the lifted polytope is
@@ -237,19 +231,24 @@ def lasserre_value(inst: KnapsackInstance, t: int, tol: float = 1e-4,
     localizers are congruences P^T M P, Q^T M Q of the moment matrix M
     with ||P||^2 = ||Q||^2 = 2 (see `lasserre_membership`), so their
     smallest eigenvalues stay above -2 * FEAS_TOL without a block.
+
+    On a uniform instance (equal sizes, equal values) each iterate is
+    averaged over item permutations (Gatermann-Parrilo 2004). They map
+    the feasible set onto itself and keep the objective, so the average
+    of a feasible point is feasible and has the same value.
     """
     if not 1 <= t <= inst.n:
         raise ValueError("level t must satisfy 1 <= t <= n")
     if count_p_t(inst.n, t) > LASSERRE_DIM_CAP:
         raise ValueError(f"moment-matrix dimension exceeds {LASSERRE_DIM_CAP}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be >= 1")
-    ws = _LasserreWorkspace(inst, t, symmetry)
+    ws = _LasserreWorkspace(inst, t)
 
     sol, opt_val = opt_solution(inst)
-    best_point = ws.integer_point(sol)
+    best_point = np.array([float(m & ~sol.chosen == 0) for m in ws.masks])
     lo = float(opt_val)
     hi = float(lp_value(inst))
     sweeps_total = 0
@@ -257,6 +256,9 @@ def lasserre_value(inst: KnapsackInstance, t: int, tol: float = 1e-4,
     moved = False
     notes = ["lower estimate: alternating projections corroborate upper "
              "bounds, they cannot refute them"]
+    if ws.symmetric:
+        notes.append("iterates averaged over item permutations: the "
+                     "instance is uniform")
     while hi - lo > tol:
         bisections += 1
         tau = (lo + hi) / 2.0
@@ -300,7 +302,7 @@ class GapRow:
 
 
 def gap_table(inst: KnapsackInstance, t_max: int, mode: str,
-              tol: float = 1e-4, symmetry: bool = False) -> list[GapRow]:
+              tol: float = 1e-4) -> list[GapRow]:
     """Per-level relaxation values and their ratio to the integer optimum."""
     if mode not in ("sa", "lasserre"):
         raise ValueError("mode must be 'sa' or 'lasserre'")
@@ -311,7 +313,7 @@ def gap_table(inst: KnapsackInstance, t_max: int, mode: str,
             val = sa_value(inst, t)
             rows.append(GapRow(t, val, val / opt, "exact"))
         else:
-            est = lasserre_value(inst, t, tol=tol, symmetry=symmetry)
+            est = lasserre_value(inst, t, tol=tol)
             rows.append(GapRow(t, est.value, est.value / float(opt),
                                "approx", est.residual))
     return rows

@@ -17,10 +17,6 @@ MAX_GROUND = 63
 MAX_DENSE = 20
 
 
-def popcount(mask: int) -> int:
-    return mask.bit_count()
-
-
 def mask_of(indices) -> int:
     m = 0
     for i in indices:
@@ -95,14 +91,8 @@ def family_p_t(n: int, t: int) -> SubsetFamily:
     """P_t(V): all subsets of {0..n-1} of size at most t."""
     if n > MAX_GROUND:
         raise ValueError(f"ground set too large: {n} > {MAX_GROUND}")
-    masks = [m for m in range(1 << n) if m.bit_count() <= t] if n <= MAX_DENSE \
-        else _p_t_sparse(n, t)
-    return SubsetFamily(masks)
-
-
-def _p_t_sparse(n: int, t: int) -> list[int]:
-    # enumerate by size to avoid scanning 2^n masks
-    out = [0]
+    # enumerate by size: each mask extends a smaller one by a higher item
+    out = [0] if t >= 0 else []
     frontier = [0]
     for _ in range(t):
         nxt = []
@@ -112,7 +102,7 @@ def _p_t_sparse(n: int, t: int) -> list[int]:
                 nxt.append(m | (1 << i))
         out.extend(nxt)
         frontier = nxt
-    return out
+    return SubsetFamily(out)
 
 
 def family_powerset(mask: int) -> SubsetFamily:

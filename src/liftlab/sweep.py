@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -70,8 +71,8 @@ class SweepConfig:
         for m in self.modes:
             if m not in MODES:
                 raise ValueError(f"unknown mode {m!r} (choose from {MODES})")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be positive and finite")
         return self
 
 
@@ -161,8 +162,9 @@ def _run_point(inst_id, inst, eps_str, t, mode, tol):
     error = ""
     try:
         if mode == "sa-cert":
-            if not inst.is_uniform():
-                raise ValueError("sa-cert applies to uniform instances only")
+            if set(inst.sizes) | set(inst.values) != {1}:
+                raise ValueError("sa-cert applies to the uniform gap family "
+                                 "only: every size and value must be 1")
             eps = 1 - inst.capacity / 2
             cert = sa_gap_certificate(inst.n, eps, t)
             report = sa_membership(cert, inst, t)

@@ -8,8 +8,9 @@ import functools
 import random
 
 from liftlab import (Q, SetVector, Solution, big_items, convex_combination,
-                     decompose, extend, greedy, integer_to_moment,
-                     lasserre_value, lp_value, make_instance,
+                     decompose, extend, family_p_t, greedy, integer_to_moment,
+                     lasserre_membership, lasserre_value, lp_value,
+                     make_instance,
                      matrix_to_float, moment_matrix, psd_exact, psd_float,
                      sa_gap_certificate,
                      sa_linear_constraints, sa_value, shift, simplex_exact,
@@ -29,6 +30,11 @@ def _report(num, ok, detail):
 @functools.lru_cache(maxsize=None)
 def _sa_uniform12(t):
     return sa_value(uniform_gap_instance(12, Q(1, 10)), t)
+
+
+@functools.lru_cache(maxsize=None)
+def _lasserre_uniform8(t):
+    return lasserre_value(uniform_gap_instance(8, Q(1, 10)), t)
 
 
 def test_criterion_1_certificate_exact():
@@ -60,9 +66,8 @@ def test_criterion_3_sa_value_trend():
 
 
 def test_criterion_4_lasserre_upper_bound_uniform8():
-    inst = uniform_gap_instance(8, Q(1, 10))
-    est3 = lasserre_value(inst, 3)
-    est2 = lasserre_value(inst, 2)
+    est3 = _lasserre_uniform8(3)
+    est2 = _lasserre_uniform8(2)
     disclaimer = any("lower estimate" in n for n in est3.notes)
     ok = (1 - 1e-4 <= est3.value <= 1.5 + 1e-3
           and est2.value <= 2 + 1e-3
@@ -72,9 +77,22 @@ def test_criterion_4_lasserre_upper_bound_uniform8():
                    f"(lower estimates, corroboration only)")
 
 
+def test_lasserre_uniform8_t2_leaves_the_integer_optimum():
+    # the symmetric point y_K = 3/20 (|K| = 1), 9/1000 (|K| = 2), 0 above
+    # lies in the level-2 Lasserre polytope and has value 6/5
+    inst = uniform_gap_instance(8, Q(1, 10))
+    level = {0: Q(1), 1: Q(3, 20), 2: Q(9, 1000)}
+    point = SetVector(8, {m: level.get(m.bit_count(), Q(0))
+                          for m in family_p_t(8, 4)})
+    assert lasserre_membership(point, inst, 2).accepted
+    assert 8 * point[1] == Q(6, 5)
+    est = _lasserre_uniform8(2)
+    assert est.value >= 6 / 5, est.describe()
+
+
 def test_criterion_5_hierarchy_separation_uniform12():
     sa3 = _sa_uniform12(3)
-    est = lasserre_value(uniform_gap_instance(12, Q(1, 10)), 3, symmetry=True)
+    est = lasserre_value(uniform_gap_instance(12, Q(1, 10)), 3)
     ok = sa3 >= Q(36, 23) and est.value <= 1.5 + 1e-3
     _report(5, ok, f"linear level-3 value {sa3} ~ {float(sa3):.4f} keeps the "
                    f"gap; moment level-3 estimate {est.value:.6f} <= 1.5")

@@ -67,6 +67,14 @@ def test_lasserre_value_rejects_nonpositive_sweep_budget(inst_file, capsys):
     assert "max_sweeps" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_lasserre_value_rejects_a_non_finite_tol(inst_file, capsys, tol):
+    _, path = inst_file
+    code = main(["lasserre-value", "--instance", path, "--t", "1", "--tol", tol])
+    assert code == 2
+    assert "tol" in capsys.readouterr().err
+
+
 def test_verify_accepts_integer_point(inst_file, tmp_path, capsys):
     inst, path = inst_file
     point = tmp_path / "pt.json"
@@ -204,6 +212,7 @@ def test_decompose_point_missing_entries_fails_cleanly(tmp_path):
      "--k", "1", "--seed", "1"],
     ["sa-cert", "--n", "6", "--eps", "1/10", "--t", "2", "--delta", "1/2",
      "--seed", "1"],
+    ["lasserre-value", "--instance", "i.json", "--t", "1", "--symmetry"],
 ])
 def test_removed_flags_exit_two(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -81,6 +81,11 @@ def test_membership_argument_validation():
         sa_membership(y, inst, 0)
     with pytest.raises(ValueError):
         lasserre_membership(SetVector(2, {0: Q(1)}), inst, 1)
+    # as many entries as P_1(V), but [1] is missing and [0, 1] is above it
+    y = SetVector(2, {0: Q(1), 0b01: Q(1, 2), 0b11: Q(0)})
+    for check in (sa_membership, lasserre_membership):
+        with pytest.raises(ValueError, match=r"missing \[1\]"):
+            check(y, inst, 1)
 
 
 def test_range_violations_reported():

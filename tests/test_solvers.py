@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -143,7 +145,7 @@ def test_lasserre_output_satisfies_the_box_localizers():
     # box localizers M_{P_1}(x_i*y) and M_{P_1}((1-x_i)*y) are congruences
     # of the moment matrix and must come out PSD as well
     inst = uniform_gap_instance(4, "1/10")
-    est = lasserre_value(inst, 2, symmetry=True, tol=0.1)
+    est = lasserre_value(inst, 2, tol=0.1)
     assert est.value > 1.1  # the estimate leaves the integer optimum
     assert est.residual < 1e-7
     fam = family_p_t(4, 1).masks
@@ -160,14 +162,32 @@ def test_lasserre_validation():
     inst = uniform_gap_instance(4, "1/10")
     with pytest.raises(ValueError):
         lasserre_value(inst, 0)
-    with pytest.raises(ValueError):
-        lasserre_value(inst, 2, tol=0.0)
+    for tol in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            lasserre_value(inst, 2, tol=tol)
     with pytest.raises(ValueError):
         lasserre_value(uniform_gap_instance(30, "1/10"), 3)
     with pytest.raises(ValueError):
-        lasserre_value(make_instance([1, 2], [1, 1], 2), 2, symmetry=True)
-    with pytest.raises(ValueError):
         lasserre_value(inst, 2, max_sweeps=0)
+
+
+def test_lasserre_averages_exactly_the_uniform_instances():
+    # equal sizes and equal values make the instance invariant under item
+    # permutations, whatever the common size and value are
+    averaged = "iterates averaged over item permutations"
+    cases = [(uniform_gap_instance(4, "1/10"), True),
+             (make_instance([2, 2, 2], [3, 3, 3], 5), True),
+             (make_instance([1, 1, 1], [1, 1, 2], 2), False),
+             (make_instance([1, 2], [3, 2], 2), False)]
+    for inst, uniform in cases:
+        est = lasserre_value(inst, 1, tol=0.5, max_sweeps=300)
+        assert any(averaged in n for n in est.notes) == uniform, inst
+        if uniform:  # the point moved, and is constant on each cardinality
+            assert est.value > float(opt_bruteforce(inst))
+            by_size = {}
+            for m, v in est.point.items():
+                by_size.setdefault(m.bit_count(), set()).add(v)
+            assert all(len(vs) == 1 for vs in by_size.values()), by_size
 
 
 def test_gap_table_sa():

@@ -36,10 +36,15 @@ def test_family_p_t_sizes_and_order():
 
 
 def test_family_p_t_sparse_path_matches_dense():
-    # the sparse enumerator kicks in above 20 ground elements
+    # the by-size enumerator equals a scan of all 2^n masks
     sparse = family_p_t(22, 2)
     assert len(sparse) == 1 + 22 + math.comb(22, 2)
     assert list(sparse.masks) == sorted(set(sparse.masks), key=canon_key)
+    for n in range(7):
+        for t in range(-1, n + 2):
+            dense = sorted((m for m in range(1 << n) if m.bit_count() <= t),
+                           key=canon_key)
+            assert list(family_p_t(n, t).masks) == dense, (n, t)
 
 
 def test_family_powerset():

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from liftlab import Q, instance_to_json, make_instance, rat_str
@@ -44,6 +46,10 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SweepConfig(family="uniform", n_values=(4,), eps_values=("1/10",),
                     t_values=(0,)).validate()
+    for tol in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            SweepConfig(family="uniform", n_values=(4,), eps_values=("1/10",),
+                        t_values=(1,), tol=tol).validate()
 
 
 def test_from_dict_rejects_unknown_keys():
@@ -95,6 +101,23 @@ def test_per_row_errors_do_not_abort(tmp_path):
     assert rows[0].error.startswith("ValueError: ") and "uniform" in rows[0].error
     assert rows[1].error == ""
     assert "error" not in CSV_HEADER
+
+
+def test_sa_cert_runs_on_unit_sizes_and_values_only(tmp_path):
+    # the certificate's value n*alpha assumes every value is 1: with values
+    # 3 it would read 36/23, below OPT = 3, so that row must be an error
+    files = []
+    for name, value in (("unit", 1), ("values3", 3)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(instance_to_json(
+            make_instance([1] * 6, [value] * 6, Q(9, 5))), encoding="utf-8")
+        files.append(str(path))
+    cfg = SweepConfig(family="files", files=tuple(files), t_values=(2,),
+                      modes=("sa-cert",))
+    unit, values3 = run_sweep(cfg)
+    assert (unit.status, unit.value, unit.ratio) == ("exact", "36/23", "36/23")
+    assert (values3.status, values3.value, values3.ratio) == ("error", "", "")
+    assert "every size and value must be 1" in values3.error
 
 
 def test_emit_csv_contracts(tmp_path):
