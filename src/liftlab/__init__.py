@@ -12,10 +12,11 @@ from .decomposition import (DecompositionResult, big_items, decompose,
                             overflow_vanishing_check, t_families,
                             vanishing_condition, verify_decomposition)
 from .hierarchy import (CertificateCheck, LiftedInequality, MembershipReport,
-                        Violation, certificate_alpha, convex_combination,
-                        integer_to_moment, lasserre_membership,
-                        sa_gap_certificate, sa_linear_constraints,
-                        sa_membership, verify_gap_certificate)
+                        Violation, certificate_alpha, certificate_membership,
+                        convex_combination, integer_to_moment,
+                        lasserre_membership, sa_gap_certificate,
+                        sa_linear_constraints, sa_membership,
+                        verify_gap_certificate)
 from .knapsack import (KnapsackInstance, LinearConstraint, Solution,
                        all_constraints, box_constraints, capacity_constraint,
                        greedy, instance_from_json, instance_to_json, lp_value,
@@ -44,9 +45,9 @@ __all__ = [
     "MembershipReport", "MomentMatrix", "MultilinearPoly", "ONE", "Q",
     "ResultRow", "SetVector", "Solution", "SubsetFamily", "SweepConfig",
     "Violation", "ZERO", "all_constraints", "big_items", "box_constraints",
-    "capacity_constraint", "certificate_alpha", "char_poly",
-    "convex_combination", "decompose", "emit_csv", "extend", "family_p_t",
-    "family_powerset", "gap_table", "greedy", "indices_of",
+    "capacity_constraint", "certificate_alpha", "certificate_membership",
+    "char_poly", "convex_combination", "decompose", "emit_csv", "extend",
+    "family_p_t", "family_powerset", "gap_table", "greedy", "indices_of",
     "instance_from_json", "instance_to_json", "integer_to_moment",
     "is_closed_under_shifting", "lasserre_membership", "lasserre_value",
     "lp_value", "make_instance", "mask_of", "matrix_to_float",

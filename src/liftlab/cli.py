@@ -57,6 +57,7 @@ def _cmd_sa_cert(args) -> int:
         "bound_ok": check.bound_ok,
         "accepted": check.report.accepted,
         "checks": check.report.checked,
+        "reduced": check.report.reduced,
         "violations": len(check.report.violations),
     }, check.describe())
     return 0 if ok else 1
@@ -118,6 +119,7 @@ def _cmd_verify(args) -> int:
         report = lasserre_membership(y, inst, args.t)
     _emit(args, {"mode": args.mode, "t": args.t,
                  "accepted": report.accepted, "checks": report.checked,
+                 "reduced": report.reduced,
                  "violations": len(report.violations)},
           report.describe())
     return 0 if report.accepted else 1

@@ -11,6 +11,7 @@ docstrings), and the moment condition alone keeps each y_i in [0, 1]
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from .knapsack import KnapsackInstance, Solution, uniform_gap_instance
@@ -35,6 +36,7 @@ class Violation:
 class MembershipReport:
     violations: list = field(default_factory=list)
     checked: int = 0
+    reduced: bool = False  # one test per orbit of item permutations
 
     @property
     def accepted(self) -> bool:
@@ -44,9 +46,10 @@ class MembershipReport:
         self.violations.append(Violation(kind, tuple(witness), margin))
 
     def describe(self) -> str:
+        checks = f"{self.checked} checks" + (", orbit-reduced" if self.reduced else "")
         if self.accepted:
-            return f"accepted ({self.checked} checks)"
-        head = f"rejected ({len(self.violations)} violations / {self.checked} checks)"
+            return f"accepted ({checks})"
+        head = f"rejected ({len(self.violations)} violations / {checks})"
         lines = [head] + ["  " + v.describe() for v in self.violations[:20]]
         if len(self.violations) > 20:
             lines.append(f"  ... {len(self.violations) - 20} more")
@@ -121,7 +124,12 @@ def _mobius_min(values, u_mask: int):
 
 def _check_level(y: SetVector, n: int, depth: int, what: str,
                  report: MembershipReport):
-    """Support, y_0 = 1 and range checks on P_depth(V), one pass over y."""
+    """Support, y_0 = 1 and range checks on P_depth(V), one pass over y.
+
+    Returns the cardinality profile [y_0, ..., y_min(depth, n)] when
+    every entry on P_depth(V) depends only on |K| (missing entries of an
+    extended vector read as 0), else None.
+    """
     if y.n != n:
         raise ValueError(f"{what}: ground-set size mismatch")
     # entries beyond P_depth(V) are never read by the level's definition
@@ -138,10 +146,81 @@ def _check_level(y: SetVector, n: int, depth: int, what: str,
                          f"size <= {depth}; missing {list(missing)}")
     if y.get(0) != 1:
         report.add("y_empty", (), y.get(0) - 1)
+    profile = {}
+    stored = [0] * (depth + 1)
+    invariant = True
     for m, v in level:
         if not (0 <= v <= 1):
             report.add("range", indices_of(m), v)
+        if invariant:
+            size = m.bit_count()
+            stored[size] += 1
+            invariant = profile.setdefault(size, v) == v
     report.checked += 1 + len(level)
+    if not invariant:
+        return None
+    top = min(depth, n)
+    for size in range(top + 1):
+        if (stored[size] < math.comb(n, size)
+                and profile.setdefault(size, ZERO) != 0):
+            return None
+    return [profile[size] for size in range(top + 1)]
+
+
+def _orbit_differences(profile, size: int) -> list:
+    """B_i = sum_l (-1)^l C(size-i, l) profile[i+l] for i = 0..size.
+
+    For a vector whose entries depend only on |K|, B_i is the Moebius
+    difference B(I, U\\I) of every |U| = size and |I| = i.
+    """
+    return [sum(((-1) ** l * math.comb(size - i, l) * profile[i + l]
+                 for l in range(size - i + 1)), ZERO)
+            for i in range(size + 1)]
+
+
+def _sa_orbit_tests(profile, inst: KnapsackInstance, t: int,
+                    report: MembershipReport):
+    """The Moebius sign tests of sa_membership for a point with cardinality
+    profile [y_0, ..., y_t] and an instance with equal sizes c.
+
+    Item permutations then fix the point and the capacity g, so all
+    |U| = t form one orbit, all |W| = t-1 another, and B(I, U\\I) depends
+    only on |I|. One test per value of |I| decides each orbit; a failing
+    orbit is reported at its first member with the margin every member has.
+    The capacity profile is (g*y)_k = C y_k - c (k y_k + (n-k) y_{k+1}).
+    """
+    n, cap, c = inst.n, inst.capacity, inst.sizes[0]
+    shifted = [cap * profile[k] - c * (k * profile[k] + (n - k) * profile[k + 1])
+               for k in range(t)]
+    report.reduced = True
+    for kind, values, size in (("moment M_P(U)", profile, t),
+                               ("constraint[0] M_P(W)(g*y)", shifted, t - 1)):
+        diffs = _orbit_differences(values, size)
+        report.checked += len(diffs)
+        low = min(diffs)
+        if low < 0:
+            report.add(kind, range(size), low)
+
+
+def _sa_family_tests(y: SetVector, inst: KnapsackInstance, t: int,
+                     report: MembershipReport):
+    """The Moebius sign tests of sa_membership, one per |U| = t and |W| = t-1."""
+    capacity = _capacity_shift(y, inst)
+    for kind, values, size in (("moment M_P(U)", y.__getitem__, t),
+                               ("constraint[0] M_P(W)(g*y)", capacity, t - 1)):
+        for combo in itertools.combinations(range(inst.n), size):
+            low = _mobius_min(values, mask_of(combo))
+            report.checked += 1
+            if low < 0:
+                report.add(kind, combo, low)
+
+
+def _sa_level(y: SetVector, inst: KnapsackInstance, t: int):
+    """A report holding the checks of _check_level, and the profile."""
+    if not 1 <= t <= inst.n:
+        raise ValueError("level t must satisfy 1 <= t <= n")
+    report = MembershipReport()
+    return report, _check_level(y, inst.n, t, "sa_membership", report)
 
 
 def sa_membership(y: SetVector, inst: KnapsackInstance, t: int) -> MembershipReport:
@@ -155,21 +234,25 @@ def sa_membership(y: SetVector, inst: KnapsackInstance, t: int) -> MembershipRep
     B(I u i, W\\I) if i is not in W, and B(I, W\\I) or 0 if it is; those
     of (1-x_i)*y are B(I, (W\\I) u i), or 0 or B(I, W\\I). All are
     base values of y over a U with |U| <= t.
-    """
-    if not 1 <= t <= inst.n:
-        raise ValueError("level t must satisfy 1 <= t <= n")
-    n = inst.n
-    report = MembershipReport()
-    _check_level(y, n, t, "sa_membership", report)
 
-    capacity = _capacity_shift(y, inst)
-    for kind, values, size in (("moment M_P(U)", y.__getitem__, t),
-                               ("constraint[0] M_P(W)(g*y)", capacity, t - 1)):
-        for combo in itertools.combinations(range(n), size):
-            low = _mobius_min(values, mask_of(combo))
-            report.checked += 1
-            if low < 0:
-                report.add(kind, combo, low)
+    When every size is equal and y_K depends only on |K|, the sign tests
+    run once per orbit of item permutations (`_sa_orbit_tests`), in
+    O(t^2) work at any n; the report's `reduced` flag says so.
+    """
+    report, profile = _sa_level(y, inst, t)
+    if profile is not None and len(set(inst.sizes)) == 1:
+        _sa_orbit_tests(profile, inst, t, report)
+    else:
+        _sa_family_tests(y, inst, t, report)
+    return report
+
+
+def _sa_membership_dense(y: SetVector, inst: KnapsackInstance,
+                         t: int) -> MembershipReport:
+    """sa_membership with one test per |U| = t and |W| = t-1 whatever the
+    symmetry: the oracle the orbit-reduced tests are checked against."""
+    report, _ = _sa_level(y, inst, t)
+    _sa_family_tests(y, inst, t, report)
     return report
 
 
@@ -292,19 +375,37 @@ def certificate_alpha(n: int, eps, t: int):
     return capacity / (n + (t - 1) * (1 - eps))
 
 
-def sa_gap_certificate(n: int, eps, t: int) -> SetVector:
-    """The uniform-knapsack SA certificate: y_0 = 1, singletons alpha, rest 0."""
+def _certificate_profile(n: int, eps, t: int) -> list:
+    """y_K of the level-t gap certificate by |K| = 0..t: 1, alpha, then 0."""
     eps = rat(eps)
     if not (0 < eps < Q(1, 2)):
         raise ValueError("eps must lie in (0, 1/2)")
     if not 2 <= t < n:
         raise ValueError("level must satisfy 2 <= t < n")
-    alpha = certificate_alpha(n, eps, t)
-    values = {0: ONE}
-    for size in range(1, t + 1):
+    return [ONE, certificate_alpha(n, eps, t)] + [ZERO] * (t - 1)
+
+
+def sa_gap_certificate(n: int, eps, t: int) -> SetVector:
+    """The uniform-knapsack SA certificate: y_0 = 1, singletons alpha, rest 0."""
+    profile = _certificate_profile(n, eps, t)
+    values = {}
+    for size in range(t + 1):
         for combo in itertools.combinations(range(n), size):
-            values[mask_of(combo)] = alpha if size == 1 else ZERO
+            values[mask_of(combo)] = profile[size]
     return SetVector(n, values)
+
+
+def certificate_membership(n: int, eps, t: int) -> MembershipReport:
+    """SA membership of sa_gap_certificate(n, eps, t) at level t for
+    uniform_gap_instance(n, eps), decided on the certificate's cardinality
+    profile by the orbit tests of sa_membership; the C(n, <= t) entries
+    are never built. Its y_0 = 1 and range conditions hold by construction
+    (0 < alpha < 1), so only the 2t + 1 orbit tests are counted.
+    """
+    profile = _certificate_profile(n, eps, t)
+    report = MembershipReport()
+    _sa_orbit_tests(profile, uniform_gap_instance(n, eps), t, report)
+    return report
 
 
 @dataclass(frozen=True)
@@ -322,16 +423,15 @@ class CertificateCheck:
 
 
 def verify_gap_certificate(n: int, eps, t: int, delta) -> CertificateCheck:
-    """Construct the certificate, check SA membership exactly, compare its
-    value n*alpha against (2-eps)/(1+delta) (the uniform instance has OPT 1)."""
+    """Check the certificate's SA membership exactly (`certificate_membership`)
+    and compare its value n*alpha against (2-eps)/(1+delta) (the uniform
+    instance has OPT 1)."""
     eps, delta = rat(eps), rat(delta)
     if delta <= 0:
         raise ValueError("delta must be positive")
     if t > delta * n:
         raise ValueError("level t must satisfy t <= delta * n")
-    cert = sa_gap_certificate(n, eps, t)
-    inst = uniform_gap_instance(n, eps)
-    report = sa_membership(cert, inst, t)
+    report = certificate_membership(n, eps, t)
     value = n * certificate_alpha(n, eps, t)
     bound = (2 - eps) / (1 + delta)
     return CertificateCheck(value, report, bound, value >= bound)

@@ -1,6 +1,7 @@
 """Optimizers over the lifted polytopes.
 
-sa_value: exact rational simplex over the linear SA system.
+sa_value: exact rational simplex over the linear SA system (reduced by
+item permutations on uniform instances).
 lasserre_value: bisection on the objective with alternating projections
 onto the moment and capacity-localizer PSD blocks; its result is a
 numerical LOWER estimate of the Lasserre optimum (it can corroborate
@@ -18,7 +19,7 @@ from .hierarchy import _capacity_row, _disjoint_pairs, _signed_base
 from .knapsack import (KnapsackInstance, capacity_constraint, lp_value,
                        opt_solution)
 from .psd import project_psd
-from .rationals import ZERO, rat_str
+from .rationals import Q, ZERO, rat_str
 from .simplex import LPProblem, simplex_exact
 from .subsets import count_p_t, family_p_t
 
@@ -54,13 +55,65 @@ def sa_lp_problem(inst: KnapsackInstance, t: int) -> LPProblem:
     return problem
 
 
+def _uniform_sa_problem(inst: KnapsackInstance, t: int) -> LPProblem:
+    """The level-t SA LP of a uniform instance in Moebius coordinates.
+
+    Permuting items maps the LP onto itself and keeps the objective, so
+    the average of an optimal y over all permutations is optimal
+    (Gatermann-Parrilo 2004), and its base values B(I, U\\I), |U| = T,
+    depend only on |I| = i: call them z_i. Conversely every z >= 0 that
+    meets the rows below defines y_K = sum_j C(T-|K|, j-|K|) z_j, the
+    same for every U containing K, at which each dense row reads as one
+    of them. So the two LPs have the same optimum. With T = min(t, n),
+    sizes c, values v and C' = C / c:
+    - y_0 = 1 reads sum_i C(T, i) z_i = 1;
+    - the objective v * sum_k y_k reads n v sum_{j>=1} C(T-1, j-1) z_j;
+    - the capacity row at |I u J| = T - 1, |I| = i (`hierarchy._capacity_row`,
+      divided by c) is C' B(I, J) minus B(I, J) for each item in I, nothing
+      for each item in J, and B(I u k, J) = z_{i+1} for each of the
+      n - T + 1 items k outside I u J; with B(I, J) = z_i + z_{i+1} (put
+      one such k into I or into J) it reads
+      (C' - i) z_i + (C' - i - n + T - 1) z_{i+1} >= 0;
+    - for t > n the dense LP has its capacity rows at |I u J| = n, where
+      no item is outside: (C' - i) z_i >= 0.
+    """
+    n = inst.n
+    top = min(t, n)
+    ratio = inst.capacity / inst.sizes[0]
+    problem = LPProblem({j: n * inst.values[0] * math.comb(top - 1, j - 1)
+                         for j in range(1, top + 1)})
+    problem.add({i: Q(math.comb(top, i)) for i in range(top + 1)}, "==", 1)
+    for i in range(min(t - 1, n) + 1):
+        row = {i: ratio - i}
+        if t <= n:
+            row[i + 1] = ratio - i - (n - top + 1)
+        row = {j: c for j, c in row.items() if c != 0}
+        if row:
+            problem.add(row, ">=", 0)
+    return problem
+
+
+def check_sa_size(inst: KnapsackInstance, t: int) -> None:
+    """Raise ValueError if sa_value(inst, t) would need the dense LP over
+    more than SA_VARIABLE_CAP lifted variables; uniform instances never do."""
+    if not inst.is_uniform() and count_p_t(inst.n, t) > SA_VARIABLE_CAP:
+        raise ValueError(f"variable count at n={inst.n}, t={t} exceeds "
+                         f"{SA_VARIABLE_CAP}")
+
+
 def sa_value(inst: KnapsackInstance, t: int):
-    """Exact optimum of the level-t linear SA relaxation."""
+    """Exact optimum of the level-t linear SA relaxation.
+
+    On a uniform instance (equal sizes, equal values) the LP is solved
+    in t + 1 orbit variables (`_uniform_sa_problem`) at any n; otherwise
+    the dense LP `sa_lp_problem` is solved (see `check_sa_size`).
+    """
     if t < 1:
         raise ValueError("level t must be >= 1")
-    if count_p_t(inst.n, t) > SA_VARIABLE_CAP:
-        raise ValueError(f"variable count exceeds {SA_VARIABLE_CAP}")
-    value, _ = simplex_exact(sa_lp_problem(inst, t))
+    check_sa_size(inst, t)
+    problem = (_uniform_sa_problem(inst, t) if inst.is_uniform()
+               else sa_lp_problem(inst, t))
+    value, _ = simplex_exact(problem)
     return value
 
 

@@ -17,12 +17,12 @@ import time
 from dataclasses import dataclass
 
 from .decomposition import big_items, decompose, verify_decomposition
-from .hierarchy import (certificate_alpha, convex_combination,
-                        integer_to_moment, sa_gap_certificate, sa_membership)
+from .hierarchy import (certificate_alpha, certificate_membership,
+                        convex_combination, integer_to_moment)
 from .knapsack import (KnapsackInstance, Solution, instance_from_json,
                        opt_bruteforce, uniform_gap_instance)
 from .rationals import Q, rat, rat_str
-from .solvers import (LASSERRE_DIM_CAP, SA_VARIABLE_CAP, lasserre_value,
+from .solvers import (LASSERRE_DIM_CAP, check_sa_size, lasserre_value,
                       sa_value)
 from .subsets import count_p_t
 
@@ -122,8 +122,8 @@ def _instances(cfg: SweepConfig):
 def _enforce_caps(grid):
     # fail the whole sweep up front rather than mid-run
     for _, inst, _, t, mode in grid:
-        if mode == "sa-lp" and count_p_t(inst.n, t) > SA_VARIABLE_CAP:
-            raise ValueError(f"sa-lp over the variable cap at n={inst.n}, t={t}")
+        if mode == "sa-lp":
+            check_sa_size(inst, t)
         if mode == "lasserre" and count_p_t(inst.n, t) > LASSERRE_DIM_CAP:
             raise ValueError(f"lasserre over the dimension cap at n={inst.n}, t={t}")
 
@@ -166,8 +166,7 @@ def _run_point(inst_id, inst, eps_str, t, mode, tol):
                 raise ValueError("sa-cert applies to the uniform gap family "
                                  "only: every size and value must be 1")
             eps = 1 - inst.capacity / 2
-            cert = sa_gap_certificate(inst.n, eps, t)
-            report = sa_membership(cert, inst, t)
+            report = certificate_membership(inst.n, eps, t)
             if not report.accepted:
                 raise ValueError("certificate rejected: " + report.describe())
             value = inst.n * certificate_alpha(inst.n, eps, t)

@@ -1,10 +1,17 @@
 """Shared helpers for the test suite: seeded random rational inputs."""
 
+import os
 import random
 
 import pytest
 
-from liftlab import KnapsackInstance, Q, SetVector
+# one BLAS thread per process, set before liftlab imports numpy: the
+# optimizer's eigensolves are small, and unpinned threads of concurrent
+# runs oversubscribe the cores
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+from liftlab import KnapsackInstance, Q, SetVector  # noqa: E402
 
 
 def rand_rat(rng: random.Random, lo: int = -9, hi: int = 9) -> Q:

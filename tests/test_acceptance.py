@@ -13,9 +13,11 @@ from liftlab import (Q, SetVector, Solution, big_items, convex_combination,
                      make_instance,
                      matrix_to_float, moment_matrix, psd_exact, psd_float,
                      sa_gap_certificate,
-                     sa_linear_constraints, sa_value, shift, simplex_exact,
+                     sa_linear_constraints, sa_lp_problem, sa_value, shift,
+                     simplex_exact,
                      uniform_gap_instance, verify_decomposition,
                      verify_gap_certificate, z_vector)
+from liftlab.hierarchy import _sa_membership_dense
 from liftlab.simplex import LPProblem
 from liftlab.subsets import SubsetFamily, is_closed_under_shifting, submasks
 
@@ -39,12 +41,17 @@ def _lasserre_uniform8(t):
 
 def test_criterion_1_certificate_exact():
     check = verify_gap_certificate(20, Q(1, 10), 5, Q(1, 4))
+    # oracle: one Moebius test per |U| = 5 and |W| = 4 on the full vector
+    dense = _sa_membership_dense(sa_gap_certificate(20, Q(1, 10), 5),
+                                 uniform_gap_instance(20, Q(1, 10)), 5)
     ok = (check.report.accepted
           and check.value == Q(90, 59)
           and check.bound == Q(38, 25)
-          and check.bound_ok)
+          and check.bound_ok
+          and dense.accepted)
     _report(1, ok, f"value {check.value} >= bound {check.bound}, "
-                   f"{check.report.checked} exact matrix checks, "
+                   f"{check.report.checked} exact orbit checks "
+                   f"({dense.checked} dense), "
                    f"{len(check.report.violations)} violations")
 
 
@@ -60,9 +67,13 @@ def test_criterion_2_certificate_satisfies_linear_system():
 
 def test_criterion_3_sa_value_trend():
     v1, v2, v3 = (_sa_uniform12(t) for t in (1, 2, 3))
-    ok = (v1 == Q(9, 5) and v3 >= Q(36, 23) and v1 >= v2 >= v3)
+    # oracle: the dense LP over all lifted variables
+    inst = uniform_gap_instance(12, Q(1, 10))
+    dense = [simplex_exact(sa_lp_problem(inst, t))[0] for t in (1, 2, 3)]
+    ok = (v1 == Q(9, 5) and v3 >= Q(36, 23) and v1 >= v2 >= v3
+          and dense == [v1, v2, v3])
     _report(3, ok, f"levels 1..3 exact values {v1}, {v2}, {v3}; "
-                   f"floor 36/23")
+                   f"floor 36/23; dense LP {', '.join(map(str, dense))}")
 
 
 def test_criterion_4_lasserre_upper_bound_uniform8():

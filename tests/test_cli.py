@@ -25,6 +25,22 @@ def test_sa_cert_success(capsys):
     assert out["violations"] == 0
 
 
+def test_json_says_which_membership_path_ran(inst_file, tmp_path, capsys):
+    code = main(["sa-cert", "--n", "10", "--eps", "1/10", "--t", "3",
+                 "--delta", "3/10", "--json"])
+    assert code == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["reduced"] is True and out["checks"] == 4 + 3
+    inst, path = inst_file  # sizes 1 and 2: no orbit reduction
+    point = tmp_path / "pt.json"
+    point.write_text(setvector_to_json(integer_to_moment(inst, Solution(1), 2)),
+                     encoding="utf-8")
+    code = main(["verify", "--instance", path, "--point", str(point),
+                 "--mode", "sa", "--t", "2", "--json"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["reduced"] is False
+
+
 def test_sa_cert_usage_error_when_level_exceeds_delta_n(capsys):
     code = main(["sa-cert", "--n", "10", "--eps", "1/10", "--t", "3",
                  "--delta", "1/10"])

@@ -1,13 +1,16 @@
 import itertools
+import math
 
 import pytest
 
 from liftlab import (Q, SetVector, Solution, all_constraints,
-                     certificate_alpha, convex_combination, family_p_t,
+                     certificate_alpha, certificate_membership,
+                     convex_combination, family_p_t,
                      family_powerset, integer_to_moment, lasserre_membership,
                      make_instance, mask_of, psd_exact, sa_gap_certificate,
                      sa_linear_constraints, sa_membership,
                      uniform_gap_instance, verify_gap_certificate)
+from liftlab.hierarchy import _sa_membership_dense
 
 from conftest import mixture_moment, point_mixture, rand_instance
 
@@ -250,9 +253,23 @@ def test_membership_agrees_with_the_dense_definition(rng):
 def test_sa_checks_one_family_per_maximal_set():
     # y_0 and range (1 + |P_2(V)| = 23), C(6,2) moment and C(6,1)
     # capacity families
+    report = _sa_membership_dense(sa_gap_certificate(6, "1/10", 2),
+                                  uniform_gap_instance(6, "1/10"), 2)
+    assert report.accepted
+    assert report.checked == 1 + 22 + 15 + 6
+
+
+def test_sa_checks_one_test_per_orbit_value():
+    # on the symmetric certificate every |U| = 2 is one orbit with three
+    # Moebius values (|I| = 0, 1, 2), every |W| = 1 one with two
     check = verify_gap_certificate(6, "1/10", 2, "1/2")
-    assert check.report.accepted
-    assert check.report.checked == 1 + 22 + 15 + 6
+    assert check.report.accepted and check.report.reduced
+    assert check.report.checked == 3 + 2
+    report = sa_membership(sa_gap_certificate(6, "1/10", 2),
+                           uniform_gap_instance(6, "1/10"), 2)
+    assert report.accepted and report.reduced
+    assert report.checked == 1 + 22 + 3 + 2
+    assert "orbit-reduced" in report.describe()
 
 
 def test_sa_margin_is_the_most_negative_moebius_difference():
@@ -263,3 +280,107 @@ def test_sa_margin_is_the_most_negative_moebius_difference():
     report = sa_membership(y, inst, 2)
     moment = [v for v in report.violations if v.kind == "moment M_P(U)"]
     assert [(v.witness, v.margin) for v in moment] == [((0, 1), Q(-1, 5))]
+
+
+def _profile_point(n, profile, extended=False):
+    """The vector with y_K = profile[|K|] on P_{len(profile)-1}(V)."""
+    return SetVector(n, {m: profile[m.bit_count()]
+                         for m in family_p_t(n, len(profile) - 1)}, extended)
+
+
+def _orbit_mixture(n, weights, t):
+    """Profile of a mixture of the uniform distributions on k-subsets,
+    weights[k] on k: y_K = sum_k weights[k] C(n-|K|, k-|K|) / C(n, k)."""
+    return [sum((w * Q(math.comb(n - j, k - j), math.comb(n, k))
+                 for k, w in weights.items() if k >= j), Q(0))
+            for j in range(t + 1)]
+
+
+def _assert_same_as_dense(y, inst, t):
+    fast = sa_membership(y, inst, t)
+    dense = _sa_membership_dense(y, inst, t)
+    assert fast.reduced and not dense.reduced
+    assert fast.accepted == dense.accepted
+    # y_0 and range violations are per entry on both paths
+    scalar = ("y_empty", "range")
+    assert ([v for v in fast.violations if v.kind in scalar]
+            == [v for v in dense.violations if v.kind in scalar])
+    # one violation per failing orbit, at the first member, with the
+    # margin every member reports
+    for kind in ("moment M_P(U)", "constraint[0] M_P(W)(g*y)"):
+        got = [v for v in fast.violations if v.kind == kind]
+        want = [v for v in dense.violations if v.kind == kind]
+        assert len(got) == (1 if want else 0), (kind, got, want)
+        if want:
+            assert got[0].witness == want[0].witness
+            assert {v.margin for v in want} == {got[0].margin}
+    return fast
+
+
+def test_orbit_tests_agree_with_the_dense_families(rng):
+    instances = [uniform_gap_instance(n, eps) for n in range(1, 9)
+                 for eps in ("1/10", "1/5")]
+    # sizes 3 with C' = 9/5; the values play no part in membership
+    instances += [make_instance([3] * n, [5] * n, "27/5") for n in (4, 6)]
+    instances.append(make_instance([2] * 5, [1, 2, 3, 4, 5], 3))
+    verdicts = {"moment M_P(U)": set(), "constraint[0] M_P(W)(g*y)": set(),
+                "range": set(), "y_empty": set(), "accepted": set()}
+    for inst in instances:
+        n = inst.n
+        fits = int(inst.capacity / inst.sizes[0])
+        for t in range(1, min(n, 4) + 1):
+            profiles = [_orbit_mixture(n, {k: Q(1, fits + 1) for k in range(fits + 1)}, t),
+                        _orbit_mixture(n, {0: Q(1, 3), min(fits + 1, n): Q(2, 3)}, t),
+                        [Q(1)] + [Q(rng.randint(0, 9), 10) for _ in range(t)],
+                        [Q(1), Q(6, 5)] + [Q(0)] * (t - 1),
+                        [Q(9, 10)] + [Q(1, 10)] * t]
+            if 2 <= t < n and inst.sizes[0] == 1:
+                # the certificate is tight on the capacity orbit; the level
+                # t-1 alpha overshoots it and fails nothing else
+                for level in (t, t - 1):
+                    alpha = certificate_alpha(n, 1 - inst.capacity / 2, level)
+                    profiles.append([Q(1), alpha] + [Q(0)] * (t - 1))
+            for profile in profiles:
+                report = _assert_same_as_dense(_profile_point(n, profile), inst, t)
+                verdicts["accepted"].add(report.accepted)
+                for v in report.violations:
+                    verdicts[v.kind].add(t)
+    assert verdicts["accepted"] == {True, False}
+    assert all(verdicts[k] for k in verdicts), verdicts
+
+
+def test_capacity_orbit_alone_rejects_an_overshooting_certificate():
+    inst = uniform_gap_instance(8, "1/10")
+    alpha = certificate_alpha(8, Q(1, 10), 2)
+    report = sa_membership(_profile_point(8, [Q(1), alpha, Q(0), Q(0)]), inst, 3)
+    assert [v.kind for v in report.violations] == ["constraint[0] M_P(W)(g*y)"]
+    assert report.violations[0].witness == (0, 1)
+    assert report.violations[0].margin < 0
+    assert sa_membership(_profile_point(8, [Q(1), alpha, Q(0)]), inst, 2).accepted
+
+
+def test_orbit_path_needs_equal_sizes_and_a_symmetric_point():
+    profile = [Q(1), Q(1, 5), Q(0)]
+    uniform = uniform_gap_instance(5, "1/10")
+    assert sa_membership(_profile_point(5, profile), uniform, 2).reduced
+    skewed = make_instance([1, 1, 1, 1, 2], [1] * 5, 2)
+    assert not sa_membership(_profile_point(5, profile), skewed, 2).reduced
+    y = _profile_point(5, profile)
+    y.values[0b11] = Q(1, 50)
+    assert not sa_membership(y, uniform, 2).reduced
+    # an extended vector's missing entries read as 0 ...
+    sparse = SetVector(5, {m: v for m, v in _profile_point(5, profile).values.items()
+                           if m.bit_count() <= 1}, extended=True)
+    report = _assert_same_as_dense(sparse, uniform, 2)
+    assert report.accepted
+    # ... so storing some of a size's entries, non-zero, breaks the symmetry
+    sparse.values[0b11] = Q(1, 50)
+    assert not sa_membership(sparse, uniform, 2).reduced
+
+
+def test_certificate_at_two_hundred_items():
+    check = verify_gap_certificate(200, "1/10", 40, "1/4")
+    assert check.report.accepted and check.bound_ok and check.report.reduced
+    assert check.value == 200 * certificate_alpha(200, Q(1, 10), 40)
+    assert check.report.checked == 41 + 40
+    assert certificate_membership(20, "1/10", 5).checked == 6 + 5

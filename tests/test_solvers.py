@@ -92,11 +92,61 @@ def test_sa_value_monotone_in_level():
 
 
 def test_sa_value_caps():
-    big = uniform_gap_instance(40, "1/10")
+    # the cap bounds the dense LP only; a uniform instance is solved in
+    # t + 1 orbit variables at any n
+    skewed = make_instance([1] * 39 + [2], [1] * 40, 2)
     with pytest.raises(ValueError):
-        sa_value(big, 4)
+        sa_value(skewed, 4)
+    assert sa_value(uniform_gap_instance(40, "1/10"), 4) == _closed_form(40, Q(9, 5), 4)
     with pytest.raises(ValueError):
-        sa_value(big, 0)
+        sa_value(uniform_gap_instance(40, "1/10"), 0)
+
+
+def _closed_form(n, capacity, t):
+    return n * capacity / (n + (t - 1) * (capacity - 1))
+
+
+def test_uniform_sa_value_closed_form():
+    """For unit sizes and values with 1 < C < 2, t = 1 or 3 <= t <= n-1,
+    the level-t SA value is n C / (n + (t-1)(C-1)).
+
+    Proof, in the orbit variables z_i of `solvers._uniform_sa_problem`:
+    for 2 <= i <= t-1 the capacity row (C-i) z_i + (C-i-n+t-1) z_{i+1} >= 0
+    has two negative coefficients (C < 2 and t <= n), so z_i = z_{i+1} = 0,
+    i.e. z_j = 0 for every j >= 2 once t >= 3. The row at i = 1 is then
+    (C-1) z_1 >= 0, and what is left is: maximize n z_1 subject to
+    z_0 + t z_1 = 1 and C z_0 + (C-n+t-1) z_1 >= 0, i.e.
+    z_1 <= C / (n + (t-1)(C-1)). That z_1 leaves z_0 >= 0 exactly when
+    n - t + 1 >= C, which holds for t <= n-1. At t = 1 the same two
+    conditions are all there is. At t = n the bound z_0 >= 0 binds
+    instead (n - t + 1 = 1 < C): z_1 = 1/n and the value is 1. At t = 2
+    the row at i = 1 is (C-1) z_1 + (C-n) z_2 >= 0, which lets z_2 > 0.
+    """
+    capacity = Q(9, 5)  # eps = 1/10
+    for n in (12, 50, 200):
+        inst = uniform_gap_instance(n, "1/10")
+        for t in (1, 3, 5, 10, 20, 40):
+            if t <= n - 1:
+                assert sa_value(inst, t) == _closed_form(n, capacity, t), (n, t)
+    assert sa_value(uniform_gap_instance(200, "1/10"), 40) == Q(450, 289)
+    assert sa_value(uniform_gap_instance(12, "1/10"), 2) == Q(9, 5)
+    assert _closed_form(12, capacity, 2) == Q(27, 16)
+    assert sa_value(uniform_gap_instance(8, "1/10"), 8) == 1
+    assert _closed_form(8, capacity, 8) == Q(18, 17)
+
+
+def test_uniform_sa_value_matches_the_dense_lp():
+    # every uniform gap instance with n <= 8, t <= 4, plus levels above n
+    # and an instance with sizes 3, values 5 and capacity 27/5 (C' = 9/5)
+    cases = [(uniform_gap_instance(n, eps), t)
+             for eps in ("1/10", "1/5") for n in range(1, 9)
+             for t in range(1, min(4, n) + 1)]
+    cases += [(uniform_gap_instance(n, "1/10"), t) for n, t in ((1, 2), (2, 3), (3, 5))]
+    cases += [(make_instance([3] * n, [5] * n, "27/5"), t)
+              for n, t in ((4, 1), (4, 2), (5, 3), (5, 6), (6, 4))]
+    for inst, t in cases:
+        assert inst.is_uniform()
+        assert sa_value(inst, t) == simplex_exact(sa_lp_problem(inst, t))[0], (inst, t)
 
 
 def test_lasserre_reaches_the_hull_on_two_items():

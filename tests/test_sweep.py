@@ -57,11 +57,25 @@ def test_from_dict_rejects_unknown_keys():
         SweepConfig.from_dict({"n_values": [4], "delta": "1/4"})
 
 
-def test_caps_enforced_before_dispatch():
-    cfg = SweepConfig(family="uniform", n_values=(20,), eps_values=("1/10",),
-                      t_values=(6,), modes=("sa-lp",))
+def test_caps_enforced_before_dispatch(tmp_path):
+    # the variable cap guards the dense LP, so it needs a non-uniform instance
+    path = tmp_path / "skewed.json"
+    path.write_text(instance_to_json(make_instance([1] * 19 + [2], [1] * 20, 2)),
+                    encoding="utf-8")
+    cfg = SweepConfig(family="files", files=(str(path),), t_values=(6,),
+                      modes=("sa-lp",))
     with pytest.raises(ValueError):
         run_sweep(cfg)
+
+
+def test_uniform_sa_lp_rows_pass_the_dense_cap():
+    # 21700 and 60460 lifted variables, far over the cap, but the uniform
+    # LP has t + 1 orbit variables
+    cfg = SweepConfig(family="uniform", n_values=(20,), eps_values=("1/10",),
+                      t_values=(5, 6), modes=("sa-lp",))
+    rows = run_sweep(cfg)
+    assert [(r.status, r.value) for r in rows] == [("exact", "45/29"),
+                                                   ("exact", "3/2")]
 
 
 def test_lasserre_rows_carry_approx_status_and_residual(tmp_path):
