@@ -20,18 +20,18 @@ from .hierarchy import (CertificateCheck, LiftedInequality, MembershipReport,
 from .knapsack import (KnapsackInstance, LinearConstraint, Solution,
                        all_constraints, box_constraints, capacity_constraint,
                        greedy, instance_from_json, instance_to_json, lp_value,
-                       make_instance, opt_bruteforce, opt_solution, residual,
+                       make_instance, opt_solution, residual,
                        uniform_gap_instance)
 from .psd import (EigenConvergenceError, matrix_to_float, min_eigenvalue,
                   project_psd, psd_exact, psd_float)
 from .rationals import ONE, Q, ZERO, rat, rat_str
 from .simplex import LPInfeasible, LPProblem, LPUnbounded, simplex_exact
-from .solvers import (GapRow, LasserreEstimate, gap_table, lasserre_value,
-                      sa_lp_problem, sa_value)
-from .subsets import (MomentMatrix, MultilinearPoly, SetVector, SubsetFamily,
-                      char_poly, extend, family_p_t, family_powerset,
-                      indices_of, is_closed_under_shifting, mask_of,
-                      moment_matrix, poly_shift, project, restrict_reindex,
+from .solvers import (LasserreEstimate, lasserre_value, sa_lp_problem,
+                      sa_value)
+from .subsets import (MultilinearPoly, SetVector, SubsetFamily, char_poly,
+                      extend, family_p_t, family_powerset, indices_of,
+                      is_closed_under_shifting, mask_of, moment_matrix,
+                      poly_shift, project, restrict_reindex,
                       setvector_from_json, setvector_to_json, shift, submasks,
                       w_normalize, z_vector)
 from .sweep import ResultRow, SweepConfig, emit_csv, run_sweep
@@ -40,18 +40,18 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CertificateCheck", "DecompositionResult", "EigenConvergenceError",
-    "GapRow", "KnapsackInstance", "LPInfeasible", "LPProblem", "LPUnbounded",
+    "KnapsackInstance", "LPInfeasible", "LPProblem", "LPUnbounded",
     "LasserreEstimate", "LiftedInequality", "LinearConstraint",
-    "MembershipReport", "MomentMatrix", "MultilinearPoly", "ONE", "Q",
-    "ResultRow", "SetVector", "Solution", "SubsetFamily", "SweepConfig",
+    "MembershipReport", "MultilinearPoly", "ONE", "Q", "ResultRow",
+    "SetVector", "Solution", "SubsetFamily", "SweepConfig",
     "Violation", "ZERO", "all_constraints", "big_items", "box_constraints",
     "capacity_constraint", "certificate_alpha", "certificate_membership",
     "char_poly", "convex_combination", "decompose", "emit_csv", "extend",
-    "family_p_t", "family_powerset", "gap_table", "greedy", "indices_of",
+    "family_p_t", "family_powerset", "greedy", "indices_of",
     "instance_from_json", "instance_to_json", "integer_to_moment",
     "is_closed_under_shifting", "lasserre_membership", "lasserre_value",
     "lp_value", "make_instance", "mask_of", "matrix_to_float",
-    "min_eigenvalue", "moment_matrix", "opt_bruteforce", "opt_solution",
+    "min_eigenvalue", "moment_matrix", "opt_solution",
     "overflow_vanishing_check", "poly_shift", "project", "project_psd",
     "psd_exact", "psd_float", "rat", "rat_str", "residual",
     "restrict_reindex", "run_sweep", "sa_gap_certificate",

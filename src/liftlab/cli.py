@@ -44,12 +44,6 @@ def _emit(args, payload: dict, text: str):
 
 def _cmd_sa_cert(args) -> int:
     check = verify_gap_certificate(args.n, args.eps, args.t, args.delta)
-    if args.emit_violations:
-        dump = [{"kind": v.kind, "witness": list(v.witness),
-                 "margin": None if v.margin is None else rat_str(v.margin)}
-                for v in check.report.violations]
-        with open(args.emit_violations, "w", encoding="utf-8") as fh:
-            json.dump(dump, fh, indent=1)
     ok = check.bound_ok and check.report.accepted
     _emit(args, {
         "value": rat_str(check.value),
@@ -179,8 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", required=True, help="rational like 1/10")
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--delta", required=True, help="rational bound parameter")
-    p.add_argument("--emit-violations", metavar="PATH",
-                   help="write the violation list as JSON")
     _common_flags(p)
     p.set_defaults(func=_cmd_sa_cert)
 

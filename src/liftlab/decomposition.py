@@ -8,7 +8,7 @@ import itertools
 from dataclasses import dataclass
 
 from .hierarchy import MembershipReport, lasserre_membership
-from .knapsack import KnapsackInstance, opt_bruteforce, residual
+from .knapsack import KnapsackInstance, opt_solution, residual
 from .rationals import ZERO, ONE
 from .subsets import (SetVector, SubsetFamily, extend, family_p_t, indices_of,
                       mask_of, restrict_reindex, submasks, w_normalize,
@@ -38,7 +38,7 @@ def big_items(inst: KnapsackInstance, k: int) -> int:
     """Items with value strictly above OPT/k, as a bitmask."""
     if k < 1:
         raise ValueError("threshold k must be >= 1")
-    cutoff = opt_bruteforce(inst) / k
+    cutoff = opt_solution(inst)[1] / k
     return mask_of(i for i in range(inst.n) if inst.values[i] > cutoff)
 
 

@@ -1,4 +1,4 @@
-"""Knapsack instances, the base LP, greedy/brute-force oracles, residuals.
+"""Knapsack instances, the base LP, greedy and exact-optimum oracles, residuals.
 
 All arithmetic is exact rational. Instances built by the public
 constructors enforce the standing assumption c_i <= C; residual
@@ -9,6 +9,7 @@ never packable).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .rationals import Q, ZERO, rat, rat_str
@@ -127,8 +128,18 @@ def greedy(inst: KnapsackInstance) -> tuple[Solution, object]:
 
 
 def opt_solution(inst: KnapsackInstance) -> tuple[Solution, object]:
-    """Exact integer optimum and an attaining subset, by exhaustive search (n <= 24)."""
+    """Exact integer optimum and an attaining subset.
+
+    On a uniform instance (equal sizes c, equal values v) no feasible set
+    has more than floor(C/c) items and a set is worth v per item, so the
+    first k = min(n, floor(C/c)) items are optimal at any n: the mask the
+    search below returns, since it breaks ratio ties by lower index.
+    Otherwise exhaustive branch and bound, capped at n <= 24.
+    """
     n = inst.n
+    if inst.is_uniform():
+        k = min(n, math.floor(inst.capacity / inst.sizes[0]))
+        return Solution((1 << k) - 1), inst.values[0] * k
     if n > MAX_BRUTEFORCE:
         raise ValueError(f"brute force capped at n <= {MAX_BRUTEFORCE}")
     order = _ratio_order(inst)
@@ -159,11 +170,6 @@ def opt_solution(inst: KnapsackInstance) -> tuple[Solution, object]:
 
     dfs(0, inst.capacity, ZERO, 0)
     return Solution(best[1]), best[0]
-
-
-def opt_bruteforce(inst: KnapsackInstance):
-    """Exact integer optimum by exhaustive search (n <= 24)."""
-    return opt_solution(inst)[1]
 
 
 def lp_value(inst: KnapsackInstance):

@@ -18,10 +18,9 @@ class EigenConvergenceError(RuntimeError):
 def psd_exact(rows) -> bool:
     """Exact PSD decision for a symmetric matrix of rationals.
 
-    Accepts a MomentMatrix or a list of row lists. Recursively: a
-    positive leading diagonal entry is pivoted and eliminated; a zero
-    diagonal entry requires its whole row to be zero; a negative one
-    refutes PSD.
+    Takes a list of row lists. Recursively: a positive leading diagonal
+    entry is pivoted and eliminated; a zero diagonal entry requires its
+    whole row to be zero; a negative one refutes PSD.
     """
     ok, _ = psd_exact_witness(rows)
     return ok
@@ -29,8 +28,6 @@ def psd_exact(rows) -> bool:
 
 def psd_exact_witness(rows):
     """Like psd_exact but also returns the offending value on failure."""
-    if hasattr(rows, "rows"):
-        rows = rows.rows
     d = len(rows)
     # only the upper triangle is maintained; the Schur complement stays symmetric
     m = [list(r) for r in rows]
@@ -95,7 +92,5 @@ def project_psd(mat: np.ndarray) -> np.ndarray:
 
 
 def matrix_to_float(rows) -> np.ndarray:
-    """Convert a rational MomentMatrix / row list to a float numpy array."""
-    if hasattr(rows, "rows"):
-        rows = rows.rows
+    """Convert a rational row list to a float numpy array."""
     return np.array([[float(x) for x in r] for r in rows], dtype=float)

@@ -101,6 +101,14 @@ def check_sa_size(inst: KnapsackInstance, t: int) -> None:
                          f"{SA_VARIABLE_CAP}")
 
 
+def check_lasserre_size(inst: KnapsackInstance, t: int) -> None:
+    """Raise ValueError if lasserre_value(inst, t) would need a moment
+    matrix of dimension above LASSERRE_DIM_CAP."""
+    if count_p_t(inst.n, t) > LASSERRE_DIM_CAP:
+        raise ValueError(f"moment-matrix dimension at n={inst.n}, t={t} "
+                         f"exceeds {LASSERRE_DIM_CAP}")
+
+
 def sa_value(inst: KnapsackInstance, t: int):
     """Exact optimum of the level-t linear SA relaxation.
 
@@ -292,8 +300,7 @@ def lasserre_value(inst: KnapsackInstance, t: int, tol: float = 1e-4,
     """
     if not 1 <= t <= inst.n:
         raise ValueError("level t must satisfy 1 <= t <= n")
-    if count_p_t(inst.n, t) > LASSERRE_DIM_CAP:
-        raise ValueError(f"moment-matrix dimension exceeds {LASSERRE_DIM_CAP}")
+    check_lasserre_size(inst, t)
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
     if max_sweeps < 1:
@@ -339,34 +346,3 @@ def lasserre_value(inst: KnapsackInstance, t: int, tol: float = 1e-4,
         tol=tol,
         notes=notes,
     )
-
-
-@dataclass(frozen=True)
-class GapRow:
-    t: int
-    value: object          # exact rational (SA) or float (Lasserre)
-    ratio: object
-    status: str            # "exact" | "approx"
-    residual: float = 0.0
-
-    def value_str(self) -> str:
-        return rat_str(self.value) if self.status == "exact" \
-            else f"{self.value:.10g}"
-
-
-def gap_table(inst: KnapsackInstance, t_max: int, mode: str,
-              tol: float = 1e-4) -> list[GapRow]:
-    """Per-level relaxation values and their ratio to the integer optimum."""
-    if mode not in ("sa", "lasserre"):
-        raise ValueError("mode must be 'sa' or 'lasserre'")
-    opt = opt_solution(inst)[1]
-    rows = []
-    for t in range(1, t_max + 1):
-        if mode == "sa":
-            val = sa_value(inst, t)
-            rows.append(GapRow(t, val, val / opt, "exact"))
-        else:
-            est = lasserre_value(inst, t, tol=tol)
-            rows.append(GapRow(t, est.value, est.value / float(opt),
-                               "approx", est.residual))
-    return rows

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .rationals import Q, ZERO, ONE, rat, rat_str
 
@@ -274,25 +274,8 @@ def w_normalize(z: SetVector, z_empty) -> SetVector:
     return SetVector(z.n, {m: v / z_empty for m, v in z.values.items()}, z.extended)
 
 
-class MomentMatrix:
-    """M_T(y): symmetric rational matrix with entry (I, J) = y_{I u J}."""
-
-    __slots__ = ("family", "rows")
-
-    def __init__(self, family: SubsetFamily, rows: list[list]):
-        self.family = family
-        self.rows = rows
-
-    @property
-    def dim(self):
-        return len(self.rows)
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
-
-
-def moment_matrix(y: SetVector, family: SubsetFamily) -> MomentMatrix:
+def moment_matrix(y: SetVector, family: SubsetFamily) -> list[list]:
+    """M_T(y) as row lists: entry (I, J) is y_{I u J} over the family's order."""
     masks = family.masks
     rows = []
     for i, mi in enumerate(masks):
@@ -304,7 +287,7 @@ def moment_matrix(y: SetVector, family: SubsetFamily) -> MomentMatrix:
     for i in range(len(masks)):
         for j in range(i + 1, len(masks)):
             rows[i][j] = rows[j][i]
-    return MomentMatrix(family, rows)
+    return rows
 
 
 def setvector_to_json(y: SetVector) -> str:

@@ -20,11 +20,10 @@ from .decomposition import big_items, decompose, verify_decomposition
 from .hierarchy import (certificate_alpha, certificate_membership,
                         convex_combination, integer_to_moment)
 from .knapsack import (KnapsackInstance, Solution, instance_from_json,
-                       opt_bruteforce, uniform_gap_instance)
+                       opt_solution, uniform_gap_instance)
 from .rationals import Q, rat, rat_str
-from .solvers import (LASSERRE_DIM_CAP, check_sa_size, lasserre_value,
+from .solvers import (check_lasserre_size, check_sa_size, lasserre_value,
                       sa_value)
-from .subsets import count_p_t
 
 MODES = ("sa-cert", "sa-lp", "lasserre", "decompose")
 
@@ -124,8 +123,8 @@ def _enforce_caps(grid):
     for _, inst, _, t, mode in grid:
         if mode == "sa-lp":
             check_sa_size(inst, t)
-        if mode == "lasserre" and count_p_t(inst.n, t) > LASSERRE_DIM_CAP:
-            raise ValueError(f"lasserre over the dimension cap at n={inst.n}, t={t}")
+        if mode == "lasserre":
+            check_lasserre_size(inst, t)
 
 
 def _decompose_parts(inst: KnapsackInstance, t: int) -> int:
@@ -179,9 +178,11 @@ def _run_point(inst_id, inst, eps_str, t, mode, tol):
             status = "approx"
         else:  # decompose
             value = _decompose_parts(inst, t)
-        ratio = "" if mode == "decompose" else \
-            _fmt(value / (float(opt_bruteforce(inst)) if isinstance(value, float)
-                          else opt_bruteforce(inst)))
+        if mode == "decompose":
+            ratio = ""
+        else:
+            opt = opt_solution(inst)[1]
+            ratio = _fmt(value / (float(opt) if isinstance(value, float) else opt))
         value_str = _fmt(value)
     except Exception as exc:
         status = "error"

@@ -48,14 +48,6 @@ def test_sa_cert_usage_error_when_level_exceeds_delta_n(capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_sa_cert_emits_violation_file(tmp_path, capsys):
-    path = tmp_path / "violations.json"
-    code = main(["sa-cert", "--n", "6", "--eps", "1/10", "--t", "2",
-                 "--delta", "1/2", "--emit-violations", str(path)])
-    assert code == 0
-    assert json.loads(path.read_text(encoding="utf-8")) == []
-
-
 def test_sa_value(inst_file, capsys):
     _, path = inst_file
     code = main(["sa-value", "--instance", path, "--t", "2", "--json"])
@@ -229,6 +221,8 @@ def test_decompose_point_missing_entries_fails_cleanly(tmp_path):
     ["sa-cert", "--n", "6", "--eps", "1/10", "--t", "2", "--delta", "1/2",
      "--seed", "1"],
     ["lasserre-value", "--instance", "i.json", "--t", "1", "--symmetry"],
+    ["sa-cert", "--n", "6", "--eps", "1/10", "--t", "2", "--delta", "1/2",
+     "--emit-violations", "v.json"],
 ])
 def test_removed_flags_exit_two(argv, capsys):
     with pytest.raises(SystemExit) as exc:

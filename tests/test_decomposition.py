@@ -5,7 +5,7 @@ import pytest
 
 from liftlab import (Q, SetVector, Solution, big_items, decompose,
                      integer_to_moment, lasserre_membership, lp_value,
-                     make_instance, mask_of, opt_bruteforce,
+                     make_instance, mask_of, opt_solution,
                      overflow_vanishing_check, residual, t_families,
                      uniform_gap_instance, vanishing_condition,
                      verify_decomposition)
@@ -26,7 +26,7 @@ def constrained_mixture(rng, inst, s_mask, k, depth):
 def test_big_items_threshold():
     inst = make_instance([1, 1, 1], [5, 1, 1], 2)
     # OPT = 6; items above 6/2 = 3 form S
-    assert opt_bruteforce(inst) == 6
+    assert opt_solution(inst)[1] == 6
     assert big_items(inst, 2) == 0b001
     assert big_items(inst, 1) == 0
     with pytest.raises(ValueError):
@@ -170,7 +170,7 @@ def test_objective_bounded_by_conditioned_residuals(rng):
             term = inst.value(x_mask) + lp_value(sub)
             best = term if best is None else max(best, term)
         assert best is not None
-        assert value <= best + opt_bruteforce(inst) / k
+        assert value <= best + opt_solution(inst)[1] / k
 
 
 def test_verify_reports_reconstruction_mismatch(rng):

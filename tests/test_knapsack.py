@@ -6,8 +6,7 @@ import pytest
 from liftlab import (KnapsackInstance, Q, all_constraints, box_constraints,
                      capacity_constraint, greedy, instance_from_json,
                      instance_to_json, lp_value, make_instance,
-                     opt_bruteforce, opt_solution, residual,
-                     uniform_gap_instance)
+                     opt_solution, residual, uniform_gap_instance)
 
 from conftest import rand_instance
 
@@ -65,13 +64,38 @@ def test_opt_matches_enumeration(rng):
         sol, val = opt_solution(inst)
         assert val == enumerate_opt(inst)
         assert inst.is_feasible(sol.chosen) and inst.value(sol.chosen) == val
-        assert opt_bruteforce(inst) == val
 
 
-def test_opt_bruteforce_cap():
-    big = KnapsackInstance((Q(1),) * 25, (Q(1),) * 25, Q(3))
+def test_opt_solution_cap():
+    # the search is capped for non-uniform instances only
+    skewed = KnapsackInstance((Q(1),) * 24 + (Q(2),), (Q(1),) * 25, Q(3))
     with pytest.raises(ValueError):
-        opt_bruteforce(big)
+        opt_solution(skewed)
+    sol, val = opt_solution(KnapsackInstance((Q(1),) * 25, (Q(1),) * 25, Q(3)))
+    assert (val, sol.chosen) == (3, 0b111)
+
+
+def test_uniform_opt_closed_form_matches_enumeration():
+    # k = min(n, floor(C/c)) items, and the search's tie-break picks the
+    # first k; a capacity below the size leaves only the empty set
+    for n in range(1, 11):
+        for size, value, capacity in ((1, 1, "9/5"), (1, 1, 3), (2, 3, 7),
+                                      ("3/2", "5/7", "9/2"), (3, 5, "27/5"),
+                                      (2, 1, 40)):
+            inst = make_instance([size] * n, [value] * n, capacity)
+            sol, val = opt_solution(inst)
+            assert val == enumerate_opt(inst)
+            k = min(n, int(inst.capacity // inst.sizes[0]))
+            assert sol.chosen == (1 << k) - 1
+        below = KnapsackInstance((Q(2),) * n, (Q(3),) * n, Q(3, 2))
+        sol, val = opt_solution(below)
+        assert (val, sol.chosen) == (enumerate_opt(below), 0) == (0, 0)
+
+
+def test_uniform_opt_at_twelve_hundred_items():
+    # far past both the search cap and Python's recursion limit
+    sol, val = opt_solution(uniform_gap_instance(1200, "1/10"))
+    assert (val, sol.chosen) == (1, 1)
 
 
 def test_lp_value_closed_form(rng):
@@ -80,7 +104,7 @@ def test_lp_value_closed_form(rng):
     assert lp_value(inst) == 2 + Q(1) * Q(1, 2) * 2  # item 1 whole, half of item 0
     for _ in range(30):
         sub = rand_instance(rng, rng.randint(1, 6))
-        assert lp_value(sub) >= opt_bruteforce(sub)
+        assert lp_value(sub) >= opt_solution(sub)[1]
 
 
 def test_lp_at_most_greedy_plus_max_value(rng):
@@ -108,7 +132,7 @@ def test_residual_relaxes_standing_assumption():
     assert sub.capacity == Q(1, 2)
     # residual items are larger than the leftover capacity: never packable
     assert all(not sub.is_feasible(1 << i) for i in range(3))
-    assert opt_bruteforce(sub) == 0
+    assert opt_solution(sub)[1] == 0
 
 
 def test_residual_validation():
@@ -136,16 +160,16 @@ def test_residual_bellman_identity(rng):
                 continue
             sub, _ = residual(inst, fixed)
             total = sum((inst.values[j] for j, b in fixed.items() if b), Q(0))
-            total += opt_bruteforce(sub)
+            total += opt_solution(sub)[1]
             best = total if best is None else max(best, total)
-        assert best == opt_bruteforce(inst)
+        assert best == opt_solution(inst)[1]
 
 
 def test_uniform_gap_instance():
     inst = uniform_gap_instance(6, "1/10")
     assert inst.is_uniform()
     assert inst.capacity == Q(9, 5)
-    assert opt_bruteforce(inst) == 1
+    assert opt_solution(inst)[1] == 1
     with pytest.raises(ValueError):
         uniform_gap_instance(6, "1/2")
     with pytest.raises(ValueError):

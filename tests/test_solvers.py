@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from liftlab import (LPProblem, Q, certificate_alpha, family_p_t, gap_table,
-                     lasserre_value, lp_value, make_instance, opt_bruteforce,
+from liftlab import (LPProblem, Q, certificate_alpha, family_p_t,
+                     lasserre_value, lp_value, make_instance, opt_solution,
                      sa_linear_constraints, sa_lp_problem, sa_value,
                      simplex_exact, uniform_gap_instance)
 
@@ -152,7 +152,7 @@ def test_uniform_sa_value_matches_the_dense_lp():
 def test_lasserre_reaches_the_hull_on_two_items():
     inst = make_instance([1, 2], [3, 2], 2)
     est = lasserre_value(inst, 2)
-    assert abs(est.value - float(opt_bruteforce(inst))) <= 1e-4
+    assert abs(est.value - float(opt_solution(inst)[1])) <= 1e-4
     assert est.residual < 1e-6
     assert any("lower estimate" in n for n in est.notes)
 
@@ -162,7 +162,7 @@ def test_lasserre_notes_an_estimate_stuck_at_the_integer_optimum():
     inst = uniform_gap_instance(4, "1/10")
     est = lasserre_value(inst, 2, tol=0.5, max_sweeps=10)
     assert est.bisections == 1
-    assert est.value == float(opt_bruteforce(inst))
+    assert est.value == float(opt_solution(inst)[1])
     assert any("integer optimum 1" in n for n in est.notes)
 
 
@@ -170,7 +170,7 @@ def test_lasserre_value_at_least_opt_minus_tol(rng):
     for _ in range(2):
         inst = rand_instance(rng, 3)
         est = lasserre_value(inst, 1, tol=1e-3, max_sweeps=3000)
-        assert est.value >= float(opt_bruteforce(inst)) - 1e-3
+        assert est.value >= float(opt_solution(inst)[1]) - 1e-3
 
 
 def test_lasserre_never_exceeds_sa_at_equal_level():
@@ -233,27 +233,8 @@ def test_lasserre_averages_exactly_the_uniform_instances():
         est = lasserre_value(inst, 1, tol=0.5, max_sweeps=300)
         assert any(averaged in n for n in est.notes) == uniform, inst
         if uniform:  # the point moved, and is constant on each cardinality
-            assert est.value > float(opt_bruteforce(inst))
+            assert est.value > float(opt_solution(inst)[1])
             by_size = {}
             for m, v in est.point.items():
                 by_size.setdefault(m.bit_count(), set()).add(v)
             assert all(len(vs) == 1 for vs in by_size.values()), by_size
-
-
-def test_gap_table_sa():
-    inst = uniform_gap_instance(5, "1/10")
-    rows = gap_table(inst, 2, "sa")
-    assert [r.t for r in rows] == [1, 2]
-    assert rows[0].value == lp_value(inst)
-    assert rows[0].status == "exact"
-    assert rows[0].ratio == rows[0].value / opt_bruteforce(inst)
-    assert rows[0].value_str() == "9/5"
-
-
-def test_gap_table_lasserre():
-    inst = make_instance([1, 2], [3, 2], 2)
-    rows = gap_table(inst, 1, "lasserre", tol=1e-3)
-    assert rows[0].status == "approx"
-    assert rows[0].value <= float(lp_value(inst)) + 1e-3
-    with pytest.raises(ValueError):
-        gap_table(inst, 1, "sdp")

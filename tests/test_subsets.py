@@ -151,8 +151,8 @@ def test_moment_matrix_entries_and_symmetry(rng):
     mat = moment_matrix(y, fam)
     for i, a in enumerate(fam.masks):
         for j, b in enumerate(fam.masks):
-            assert mat[i, j] == y[a | b]
-            assert mat[i, j] == mat[j, i]
+            assert mat[i][j] == y[a | b]
+            assert mat[i][j] == mat[j][i]
 
 
 def test_setvector_json_round_trip(rng):

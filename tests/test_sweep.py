@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from liftlab import Q, instance_to_json, make_instance, rat_str
+from liftlab import Q, instance_to_json, lp_value, make_instance, rat_str
 from liftlab.sweep import (CSV_HEADER, ResultRow, SweepConfig, emit_csv,
                            rows_to_csv_text, run_sweep)
 
@@ -76,6 +76,38 @@ def test_uniform_sa_lp_rows_pass_the_dense_cap():
     rows = run_sweep(cfg)
     assert [(r.status, r.value) for r in rows] == [("exact", "45/29"),
                                                    ("exact", "3/2")]
+
+
+def test_sa_rows_reach_past_the_search_cap():
+    # n = 30 > 24: OPT = 1 comes from the uniform closed form
+    cfg = SweepConfig(family="uniform", n_values=(30,), eps_values=("1/10",),
+                      t_values=(5,), modes=("sa-lp", "sa-cert"))
+    rows = run_sweep(cfg)
+    assert [(r.mode, r.status, r.value) for r in rows] == [
+        ("sa-lp", "exact", "135/83"), ("sa-cert", "exact", "45/28")]
+    assert all(r.ratio == r.value for r in rows)
+
+
+def test_lasserre_cap_enforced_before_dispatch():
+    # |P_2| = 466 > 400 at n = 30
+    cfg = SweepConfig(family="uniform", n_values=(30,), eps_values=("1/10",),
+                      t_values=(2,), modes=("lasserre",))
+    with pytest.raises(ValueError, match="exceeds 400"):
+        run_sweep(cfg)
+
+
+def test_ratio_is_value_over_opt(tmp_path):
+    # OPT = 3 (item 0 alone); level 1 is the base LP, 3 + 1/2 * 2 = 4, and
+    # the Lasserre estimate stays below that bound
+    inst = make_instance([1, 2], [3, 2], 2)
+    path = tmp_path / "i.json"
+    path.write_text(instance_to_json(inst), encoding="utf-8")
+    cfg = SweepConfig(family="files", files=(str(path),), t_values=(1,),
+                      modes=("sa-lp", "lasserre"), tol=1e-3)
+    lp_row, las_row = run_sweep(cfg)
+    assert (lp_row.value, lp_row.ratio) == (rat_str(lp_value(inst)), "4/3")
+    assert float(las_row.value) <= float(lp_value(inst)) + 1e-3
+    assert abs(float(las_row.ratio) - float(las_row.value) / 3) < 1e-9
 
 
 def test_lasserre_rows_carry_approx_status_and_residual(tmp_path):
