@@ -232,11 +232,23 @@ def instance_to_json(inst: KnapsackInstance) -> str:
     return json.dumps(obj, indent=1)
 
 
+def _json_field(obj, key: str, where: str):
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    if key not in obj:
+        raise ValueError(f"{where} has no {key!r} key")
+    return obj[key]
+
+
 def instance_from_json(text: str) -> KnapsackInstance:
     obj = json.loads(text)
-    items = obj["items"]
+    items = _json_field(obj, "items", "instance")
+    if not isinstance(items, list):
+        raise ValueError("instance 'items' must be a list")
     if obj.get("n") is not None and obj["n"] != len(items):
         raise ValueError("declared n does not match the item list")
-    return make_instance([rat(it["size"]) for it in items],
-                         [rat(it["value"]) for it in items],
-                         rat(obj["capacity"]))
+    return make_instance([rat(_json_field(it, "size", f"item {k}"))
+                          for k, it in enumerate(items)],
+                         [rat(_json_field(it, "value", f"item {k}"))
+                          for k, it in enumerate(items)],
+                         rat(_json_field(obj, "capacity", "instance")))

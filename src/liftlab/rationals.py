@@ -2,8 +2,9 @@
 
 All algebra in this package is exact. gmpy2.mpq is used when available
 (roughly an order of magnitude faster than fractions.Fraction in the
-simplex and PSD hot loops); otherwise we fall back to the stdlib type.
-Both types interoperate and compare equal, so callers may pass either.
+PSD hot loops; the simplex works on integer rows and does not depend
+on it); otherwise we fall back to the stdlib type. Both types
+interoperate and compare equal, so callers may pass either.
 """
 
 from __future__ import annotations

@@ -3,14 +3,26 @@
 Variables are implicitly non-negative; upper bounds are ordinary rows.
 Pivoting uses Dantzig's rule while the objective improves and falls
 back to Bland's rule during degenerate stretches, so termination is
-guaranteed. All tableau arithmetic is exact rational.
+guaranteed.
+
+The tableau is fraction-free (Edmonds 1967; Bareiss 1968): each row,
+and the objective row, holds Python integers over one positive integer
+denominator. A pivot rewrites only the rows with a non-zero entry in
+the pivot column, as (R*P + f*N) / (D*P), and divides each by the gcd
+of its numerators and denominator, so no per-entry gcd is paid. Every
+rule still decides on exact values: objective coefficients share one
+denominator and compare as integers, and ratios compare by
+cross-multiplication. So the pivots, the optimal point and the value
+are those of a tableau of rationals. Rationals appear only where rows
+come in from an LPProblem and where (value, point) go out.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
-from .rationals import Q, ZERO, ONE, rat
+from .rationals import Q, ZERO, rat
 
 
 class LPInfeasible(Exception):
@@ -48,52 +60,71 @@ class LPProblem:
 _DEGENERATE_STREAK = 12
 
 
-class _Dictionary:
-    """x_basic[i] = b[i] + sum_j rows[i][j] * x_nonbasic[j]."""
+def _reduced(row, d):
+    """Integer numerators over d > 0, divided by their common gcd."""
+    g = math.gcd(d, *row)
+    if g > 1:
+        return [v // g for v in row], d // g
+    return row, d
 
-    def __init__(self, ncols, rows, b, basic, nonbasic):
+
+def _combine(x, a, y, b, d):
+    """The row (a*x + b*y) / d in lowest terms, as (numerators, denominator)."""
+    return _reduced([a * u + b * v for u, v in zip(x, y)], d)
+
+
+def _integer_row(values):
+    """Rationals as (integer numerators, common positive denominator)."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+class _Dictionary:
+    """x_basic[i] = (rows[i][-1] + sum_j rows[i][j] * x_nonbasic[j]) / den[i].
+
+    Entries are integers and each den[i] > 0; the objective is
+    (obj[-1] + sum_j obj[j] * x_nonbasic[j]) / oden in the same form.
+    """
+
+    def __init__(self, rows, den, basic, nonbasic):
         self.rows = rows
-        self.b = b
+        self.den = den
         self.basic = basic
         self.nonbasic = nonbasic
-        self.obj = [ZERO] * ncols
-        self.obj0 = ZERO
+        self.obj = [0] * (len(nonbasic) + 1)
+        self.oden = 1
         self.degen = 0
 
     def pivot(self, i, j):
-        rows, b = self.rows, self.b
-        piv = rows[i][j]
+        rows, den = self.rows, self.den
         old = rows[i]
-        width = len(old)
-        inv = -1 / piv
-        newrow = [v * inv for v in old]
-        newrow[j] = -inv  # coefficient of the leaving variable
-        newb = -b[i] / piv
+        p = old[j]
+        # den[i] * x_basic[i] = old . (x_nonbasic, 1), solved for x_nonbasic[j]
+        # over the positive denominator |p|
+        if p > 0:
+            newrow = [-v for v in old]
+            newrow[j] = den[i]
+        else:
+            newrow = old[:]
+            newrow[j] = -den[i]
+            p = -p
+        newrow, p = _reduced(newrow, p)
         for r in range(len(rows)):
-            if r == i:
+            f = rows[r][j]
+            if r == i or f == 0:
                 continue
-            row = rows[r]
-            f = row[j]
-            if f == 0:
-                continue
-            row[j] = ZERO
-            for k in range(width):
-                if newrow[k] != 0:
-                    row[k] = row[k] + f * newrow[k]
-            b[r] = b[r] + f * newb
+            rows[r][j] = 0
+            rows[r], den[r] = _combine(rows[r], p, newrow, f, den[r] * p)
         f = self.obj[j]
         if f != 0:
-            self.obj[j] = ZERO
-            for k in range(width):
-                if newrow[k] != 0:
-                    self.obj[k] = self.obj[k] + f * newrow[k]
-            self.obj0 = self.obj0 + f * newb
-        rows[i] = newrow
-        b[i] = newb
+            self.obj[j] = 0
+            self.obj, self.oden = _combine(self.obj, p, newrow, f, self.oden * p)
+        rows[i], den[i] = newrow, p
         self.basic[i], self.nonbasic[j] = self.nonbasic[j], self.basic[i]
 
     def _entering(self):
-        obj = self.obj
+        # one denominator for the whole objective row: compare numerators
+        obj = self.obj[:-1]
         if self.degen >= _DEGENERATE_STREAK:
             best = None
             for j, c in enumerate(obj):
@@ -107,16 +138,17 @@ class _Dictionary:
         return best
 
     def _leaving(self, j):
-        rows, b = self.rows, self.b
+        # the ratio -b[i] / a[i][j] is rows[i][-1] / -rows[i][j]: den[i] cancels
+        rows = self.rows
         best = None
-        best_ratio = None
         for i in range(len(rows)):
             a = rows[i][j]
             if a < 0:
-                ratio = -b[i] / a
-                if (best is None or ratio < best_ratio
-                        or (ratio == best_ratio and self.basic[i] < self.basic[best])):
-                    best, best_ratio = i, ratio
+                num, d = rows[i][-1], -a
+                if (best is None or num * best_d < best_num * d
+                        or (num * best_d == best_num * d
+                            and self.basic[i] < self.basic[best])):
+                    best, best_num, best_d = i, num, d
         return best
 
     def optimize(self):
@@ -127,13 +159,13 @@ class _Dictionary:
             i = self._leaving(j)
             if i is None:
                 raise LPUnbounded("objective unbounded above")
-            degenerate = self.b[i] == 0
+            degenerate = self.rows[i][-1] == 0
             self.pivot(i, j)
             self.degen = self.degen + 1 if degenerate else 0
 
 
 def _build_rows(problem: LPProblem, var_index):
-    rows, b = [], []
+    rows, den = [], []
     for coeffs, sense, rhs in problem.constraints:
         senses = [("<=", coeffs, rhs)] if sense != "==" else \
             [("<=", coeffs, rhs), (">=", coeffs, rhs)]
@@ -144,9 +176,11 @@ def _build_rows(problem: LPProblem, var_index):
             row = [ZERO] * len(var_index)
             for v, c in cf.items():
                 row[var_index[v]] += sign * rat(c)
-            rows.append([-x for x in row])  # dictionary form keeps -A
-            b.append(sign * rat(r))
-    return rows, b
+            # dictionary form keeps -A, with b last
+            numerators, d = _integer_row([-x for x in row] + [sign * rat(r)])
+            rows.append(numerators)
+            den.append(d)
+    return rows, den
 
 
 def simplex_exact(problem: LPProblem):
@@ -157,67 +191,61 @@ def simplex_exact(problem: LPProblem):
     variables = problem.variables()
     nvars = len(variables)
     var_index = {v: i for i, v in enumerate(variables)}
-    rows, b = _build_rows(problem, var_index)
+    rows, den = _build_rows(problem, var_index)
     m = len(rows)
     basic = list(range(nvars, nvars + m))
     nonbasic = list(range(nvars))
-    d = _Dictionary(nvars, rows, b, basic, nonbasic)
+    d = _Dictionary(rows, den, basic, nonbasic)
 
-    if any(x < 0 for x in b):
+    if any(row[-1] < 0 for row in rows):
         _phase_one(d)
 
     for v, c in problem.objective.items():
         j = var_index[v]
         c = rat(c)
-        # express the objective over the current basis
-        placed = False
-        for jj, nb in enumerate(d.nonbasic):
-            if nb == j:
-                d.obj[jj] += c
-                placed = True
-                break
-        if not placed:
-            for i, bs in enumerate(d.basic):
-                if bs == j:
-                    d.obj0 += c * d.b[i]
-                    for k in range(len(d.obj)):
-                        if d.rows[i][k] != 0:
-                            d.obj[k] += c * d.rows[i][k]
-                    break
+        # express the objective over the current basis: add c * x_j
+        if j in d.nonbasic:
+            x, dx = [0] * len(d.obj), 1
+            x[d.nonbasic.index(j)] = 1
+        else:
+            i = d.basic.index(j)
+            x, dx = d.rows[i], d.den[i]
+        d.obj, d.oden = _combine(d.obj, c.denominator * dx, x,
+                                 c.numerator * d.oden, d.oden * c.denominator * dx)
     d.degen = 0
     d.optimize()
 
     point = {v: ZERO for v in variables}
     for i, bs in enumerate(d.basic):
         if bs < nvars:
-            point[variables[bs]] = d.b[i]
-    return d.obj0, point
+            point[variables[bs]] = Q(d.rows[i][-1], d.den[i])
+    return Q(d.obj[-1], d.oden), point
 
 
 def _phase_one(d: _Dictionary):
     """Standard auxiliary-variable phase: maximize -x0 with x0 added to every row."""
     aux = max(d.basic) + 1
-    for row in d.rows:
-        row.append(ONE)
+    for row, den in zip(d.rows, d.den):
+        row.insert(-1, den)
     d.nonbasic.append(aux)
-    d.obj = [ZERO] * len(d.nonbasic)
-    d.obj[-1] = Q(-1)
-    d.obj0 = ZERO
+    d.obj = [0] * (len(d.nonbasic) + 1)
+    d.obj[-2] = -1
+    d.oden = 1
     # initial pivot: x0 enters, the most negative row leaves
-    i0 = min(range(len(d.b)), key=lambda i: (d.b[i], d.basic[i]))
+    i0 = min(range(len(d.rows)), key=lambda i: (Q(d.rows[i][-1], d.den[i]), d.basic[i]))
     d.pivot(i0, len(d.nonbasic) - 1)
     d.degen = 0
     d.optimize()
-    if d.obj0 != 0:
+    if d.obj[-1] != 0:
         raise LPInfeasible("phase one optimum is negative")
     if aux in d.basic:
         # degenerate at zero: pivot x0 out on any nonzero row entry
         i = d.basic.index(aux)
-        j = next(j for j, v in enumerate(d.rows[i]) if v != 0)
+        j = next(j for j, v in enumerate(d.rows[i][:-1]) if v != 0)
         d.pivot(i, j)
     j = d.nonbasic.index(aux)
     for row in d.rows:
         del row[j]
     del d.nonbasic[j]
-    d.obj = [ZERO] * len(d.nonbasic)
-    d.obj0 = ZERO
+    d.obj = [0] * (len(d.nonbasic) + 1)
+    d.oden = 1

@@ -87,7 +87,9 @@ class ResultRow:
     status: str              # "exact" | "approx" | "error"
     runtime_ms: int
     residual: float = 0.0    # approx modes only; not part of the CSV contract
-    error: str = ""          # "<ExcType>: <msg>" when status is "error"; not in the CSV
+    error: str = ""          # not in the CSV: "<ExcType>: <msg>" when status is
+                             # "error", "ratio: <ExcType>: <msg>" when only the
+                             # ratio is missing (OPT out of reach)
 
     def csv_fields(self) -> tuple:
         return (self.instance, str(self.n), self.eps, str(self.t), self.mode,
@@ -178,17 +180,20 @@ def _run_point(inst_id, inst, eps_str, t, mode, tol):
             status = "approx"
         else:  # decompose
             value = _decompose_parts(inst, t)
-        if mode == "decompose":
-            ratio = ""
-        else:
-            opt = opt_solution(inst)[1]
-            ratio = _fmt(value / (float(opt) if isinstance(value, float) else opt))
         value_str = _fmt(value)
     except Exception as exc:
         status = "error"
         value_str = ""
-        ratio = ""
         error = f"{type(exc).__name__}: {exc}"
+    ratio = ""
+    if status != "error" and mode != "decompose":
+        # a value stands without its ratio when OPT is out of reach
+        try:
+            opt = opt_solution(inst)[1]
+        except ValueError as exc:
+            error = f"ratio: {type(exc).__name__}: {exc}"
+        else:
+            ratio = _fmt(value / (float(opt) if isinstance(value, float) else opt))
     ms = int(round((time.perf_counter() - start) * 1000))
     return ResultRow(inst_id, inst.n, eps_str, t, mode, value_str, ratio,
                      status, ms, residual, error)

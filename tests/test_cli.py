@@ -289,3 +289,49 @@ def test_sweep_stdout_and_file_csv_agree(tmp_path, capsys):
     strip = lambda text: [line.rsplit(",", 1)[0] for line in text.splitlines()]
     assert strip(out_path.read_bytes().decode("utf-8")) == strip(stdout)
     assert stdout.splitlines()[1].startswith('"a,b",2,,1,sa-lp,4,4/3,exact,')
+
+
+@pytest.mark.parametrize("text, says", [
+    ('{"n": 1, "capacity": "2"}', "instance has no 'items' key"),
+    ('{"capacity": "2", "items": [{"value": "1"}]}', "item 0 has no 'size' key"),
+    ('{"capacity": "2", "items": [{"size": "1", "value": "1"}, {"size": "1"}]}',
+     "item 1 has no 'value' key"),
+    ('{"items": [{"size": "1", "value": "1"}]}', "instance has no 'capacity' key"),
+    ('[{"size": "1", "value": "1"}]', "instance must be a JSON object"),
+    ('{"capacity": "2", "items": 5}', "instance 'items' must be a list"),
+])
+def test_malformed_instance_names_what_is_missing(tmp_path, capsys, text, says):
+    path = tmp_path / "inst.json"
+    path.write_text(text, encoding="utf-8")
+    code = main(["sa-value", "--instance", str(path), "--t", "1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert says in err
+
+
+def test_sweep_json_keeps_a_value_whose_ratio_is_out_of_reach(tmp_path, capsys):
+    # 25 items, not uniform: OPT needs the branch and bound, capped at 24
+    # items, but the level-1 value is exact: 24 unit items fill 3 exactly
+    path = tmp_path / "wide.json"
+    path.write_text(instance_to_json(make_instance([1] * 24 + [2], [1] * 25, 3)),
+                    encoding="utf-8")
+    code = main(["sweep", "--family", "files", "--files", str(path), "--t", "1",
+                 "--modes", "sa-lp", "--json"])
+    assert code == 0
+    (row,) = json.loads(capsys.readouterr().out)
+    assert (row["status"], row["value"], row["ratio"]) == ("exact", "3", "")
+    assert row["error"] == "ratio: ValueError: brute force capped at n <= 24"
+
+
+def test_dense_sa_lp_over_the_cap_is_refused_up_front(tmp_path, capsys):
+    # 9680 rows x 793 variables; sa-value and the sweep both exit 2 at once
+    path = tmp_path / "skewed.json"
+    path.write_text(instance_to_json(make_instance([1] * 11 + ["3/2"], [1] * 12,
+                                                   "19/10")), encoding="utf-8")
+    for argv in (["sa-value", "--instance", str(path), "--t", "4"],
+                 ["sweep", "--family", "files", "--files", str(path), "--t", "1,4",
+                  "--modes", "sa-lp"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: dense SA LP at n=12, t=4 has 9680 rows")

@@ -8,6 +8,8 @@ from liftlab import (LPProblem, Q, certificate_alpha, family_p_t,
                      sa_linear_constraints, sa_lp_problem, sa_value,
                      simplex_exact, uniform_gap_instance)
 
+from liftlab.solvers import sa_lp_size
+
 from conftest import rand_instance
 
 
@@ -238,3 +240,24 @@ def test_lasserre_averages_exactly_the_uniform_instances():
             for m, v in est.point.items():
                 by_size.setdefault(m.bit_count(), set()).add(v)
             assert all(len(vs) == 1 for vs in by_size.values()), by_size
+
+
+def test_sa_cap_counts_the_dense_lp(rng):
+    # the closed form is the size of the LP sa_value would solve; above
+    # t = n a capacity row (C - c(I)) B(I, J) >= 0 vanishes when c(I) = C
+    for n in range(1, 7):
+        for t in range(1, n + 2):
+            problem = sa_lp_problem(rand_instance(rng, n), t)
+            rows, nvars = sa_lp_size(n, t)
+            assert nvars == len(problem.variables()), (n, t)
+            assert (rows == len(problem.constraints) if t <= n
+                    else rows >= len(problem.constraints)), (n, t)
+    assert sa_lp_size(10, 3) == (1140, 175)
+    assert sa_lp_size(12, 3) == (2024, 298)
+    # n = 12, t = 4 has 793 variables, under the old cap of 2000 variables,
+    # but 9680 rows: refused up front, where the dense solve ran for minutes
+    assert sa_lp_size(12, 4) == (9680, 793)
+    skewed = make_instance([1] * 11 + ["3/2"], [1] * 12, "19/10")
+    with pytest.raises(ValueError, match="9680 rows x 793 variables"):
+        sa_value(skewed, 4)
+    assert sa_value(uniform_gap_instance(12, "1/10"), 4) == _closed_form(12, Q(9, 5), 4)

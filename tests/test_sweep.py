@@ -58,7 +58,7 @@ def test_from_dict_rejects_unknown_keys():
 
 
 def test_caps_enforced_before_dispatch(tmp_path):
-    # the variable cap guards the dense LP, so it needs a non-uniform instance
+    # the rows x variables cap guards the dense LP, so it needs a non-uniform instance
     path = tmp_path / "skewed.json"
     path.write_text(instance_to_json(make_instance([1] * 19 + [2], [1] * 20, 2)),
                     encoding="utf-8")
