@@ -215,12 +215,12 @@ def _sa_family_tests(y: SetVector, inst: KnapsackInstance, t: int,
                 report.add(kind, combo, low)
 
 
-def _sa_level(y: SetVector, inst: KnapsackInstance, t: int):
-    """A report holding the checks of _check_level, and the profile."""
+def _level(y: SetVector, inst: KnapsackInstance, t: int, depth: int, what: str):
+    """A report holding the checks of _check_level on P_depth(V), and the profile."""
     if not 1 <= t <= inst.n:
         raise ValueError("level t must satisfy 1 <= t <= n")
     report = MembershipReport()
-    return report, _check_level(y, inst.n, t, "sa_membership", report)
+    return report, _check_level(y, inst.n, depth, what, report)
 
 
 def sa_membership(y: SetVector, inst: KnapsackInstance, t: int) -> MembershipReport:
@@ -239,7 +239,7 @@ def sa_membership(y: SetVector, inst: KnapsackInstance, t: int) -> MembershipRep
     run once per orbit of item permutations (`_sa_orbit_tests`), in
     O(t^2) work at any n; the report's `reduced` flag says so.
     """
-    report, profile = _sa_level(y, inst, t)
+    report, profile = _level(y, inst, t, t, "sa_membership")
     if profile is not None and len(set(inst.sizes)) == 1:
         _sa_orbit_tests(profile, inst, t, report)
     else:
@@ -251,9 +251,91 @@ def _sa_membership_dense(y: SetVector, inst: KnapsackInstance,
                          t: int) -> MembershipReport:
     """sa_membership with one test per |U| = t and |W| = t-1 whatever the
     symmetry: the oracle the orbit-reduced tests are checked against."""
-    report, _ = _sa_level(y, inst, t)
+    report, _ = _level(y, inst, t, t, "sa_membership")
     _sa_family_tests(y, inst, t, report)
     return report
+
+
+def _schrijver_beta(n: int, i: int, j: int, k: int, s: int) -> int:
+    """beta^s_{i,j,k} = sum_u (-1)^(u-s) C(u,s) C(n-2k,u-k) C(n-k-u,i-u) C(n-k-u,j-u)."""
+    # an int sign: (-1) ** e is a float for e < 0
+    return sum((-1 if (u - s) % 2 else 1) * math.comb(u, s)
+               * math.comb(n - 2 * k, u - k)
+               * math.comb(n - k - u, i - u) * math.comb(n - k - u, j - u)
+               for u in range(max(s, k), min(i, j) + 1))
+
+
+def _orbit_blocks(x, n: int, top: int) -> list:
+    """Schrijver's blocks of M[I, J] = x[|I u J|] over P_top([n]).
+
+    M is invariant under item permutations, and it is PSD iff every
+    block B_k, k = 0..min(top, n//2), is PSD (Schrijver 2005, Terwilliger
+    algebra of the Boolean lattice), with rows and columns
+    i, j = k..min(top, n-k) and
+        B_k[i, j] = sum_s beta^s_{i,j,k} x[i+j-s],  max(0, i+j-n) <= s <= min(i, j),
+    s being |I n J|. Schrijver's scaling C(n-2k, i-k)^(-1/2) on both sides
+    is a positive diagonal congruence and is dropped, so the blocks stay
+    rational. B_k occurs C(n, k) - C(n, k-1) times in M's spectrum.
+    x must hold x[0..min(2 top, n)].
+    """
+    blocks = []
+    for k in range(min(top, n // 2) + 1):
+        sizes = range(k, min(top, n - k) + 1)
+        rows = [[None] * len(sizes) for _ in sizes]
+        for a, i in enumerate(sizes):
+            for b in range(a, len(sizes)):
+                j = sizes[b]
+                rows[a][b] = rows[b][a] = sum(
+                    (_schrijver_beta(n, i, j, k, s) * x[i + j - s]
+                     for s in range(max(0, i + j - n), i + 1)), ZERO)
+        blocks.append(rows)
+    return blocks
+
+
+def _lasserre_orbit_tests(profile, inst: KnapsackInstance, t: int,
+                          report: MembershipReport):
+    """The two PSD tests of lasserre_membership for a point with cardinality
+    profile [y_0, ..., y_min(2t, n)] and an instance with equal sizes c.
+
+    Both matrices then have entries that depend only on |I u J| = m: y_m
+    for the moment matrix over P_t(V) and, for the capacity localizer over
+    P_{t-1}(V), C y_m - c (m y_m + (n-m) y_{m+1}). Each is decided on its
+    `_orbit_blocks`; a failing matrix is reported once, with the pivot of
+    its first failing block as the margin.
+    """
+    n, cap, c = inst.n, inst.capacity, inst.sizes[0]
+    y = list(profile) + [ZERO]  # y_{n+1} is read only with weight n - n = 0
+    shifted = [cap * y[m] - c * (m * y[m] + (n - m) * y[m + 1])
+               for m in range(min(2 * t - 2, n) + 1)]
+    report.reduced = True
+    for kind, witness, x, size in (("moment M_Pt(V)", (t,), profile, t),
+                                   ("constraint[0] M_Pt-1(V)(g*y)", (t - 1,),
+                                    shifted, t - 1)):
+        bad = None
+        for block in _orbit_blocks(x, n, size):
+            ok, margin = psd_exact_witness(block)
+            report.checked += 1
+            if not ok and bad is None:
+                bad = margin
+        if bad is not None:
+            report.add(kind, witness, bad)
+
+
+def _lasserre_dense_tests(y: SetVector, inst: KnapsackInstance, t: int,
+                          report: MembershipReport):
+    """The two PSD tests of lasserre_membership on the dense matrices."""
+    n = inst.n
+    ok, bad = psd_exact_witness(moment_matrix(y, family_p_t(n, t)))
+    report.checked += 1
+    if not ok:
+        report.add("moment M_Pt(V)", (t,), bad)
+
+    fam = family_p_t(n, t - 1).masks
+    shifted = _capacity_shift(y, inst)
+    ok, bad = psd_exact_witness([[shifted(a | b) for b in fam] for a in fam])
+    report.checked += 1
+    if not ok:
+        report.add("constraint[0] M_Pt-1(V)(g*y)", (t - 1,), bad)
 
 
 def lasserre_membership(y: SetVector, inst: KnapsackInstance, t: int) -> MembershipReport:
@@ -268,24 +350,28 @@ def lasserre_membership(y: SetVector, inst: KnapsackInstance, t: int) -> Members
     - M_{P_{t-1}}((1-x_i)*y) = Q^T M Q with column I of Q equal to
       e_I - e_{I u i}, since M[I, J] - M[I, J u i] - M[I u i, J]
       + M[I u i, J u i] = y_{I u J} - y_{I u J u i}.
+
+    When every size is equal and y_K depends only on |K|, both matrices
+    are invariant under item permutations and are decided on Schrijver's
+    block diagonalization (Schrijver 2005, `_lasserre_orbit_tests`):
+    at most t+1 blocks of size at most t+1 for the moment matrix and t of
+    size at most t for the capacity localizer, at any n; the report's
+    `reduced` flag says so. Otherwise each matrix is eliminated densely.
     """
-    if not 1 <= t <= inst.n:
-        raise ValueError("level t must satisfy 1 <= t <= n")
-    n = inst.n
-    report = MembershipReport()
-    _check_level(y, n, 2 * t, "lasserre_membership", report)
+    report, profile = _level(y, inst, t, 2 * t, "lasserre_membership")
+    if profile is not None and len(set(inst.sizes)) == 1:
+        _lasserre_orbit_tests(profile, inst, t, report)
+    else:
+        _lasserre_dense_tests(y, inst, t, report)
+    return report
 
-    ok, bad = psd_exact_witness(moment_matrix(y, family_p_t(n, t)))
-    report.checked += 1
-    if not ok:
-        report.add("moment M_Pt(V)", (t,), bad)
 
-    fam = family_p_t(n, t - 1).masks
-    shifted = _capacity_shift(y, inst)
-    ok, bad = psd_exact_witness([[shifted(a | b) for b in fam] for a in fam])
-    report.checked += 1
-    if not ok:
-        report.add("constraint[0] M_Pt-1(V)(g*y)", (t - 1,), bad)
+def _lasserre_membership_dense(y: SetVector, inst: KnapsackInstance,
+                               t: int) -> MembershipReport:
+    """lasserre_membership on the dense matrices whatever the symmetry: the
+    oracle the orbit-reduced tests are checked against."""
+    report, _ = _level(y, inst, t, 2 * t, "lasserre_membership")
+    _lasserre_dense_tests(y, inst, t, report)
     return report
 
 

@@ -297,12 +297,26 @@ def setvector_to_json(y: SetVector) -> str:
 
 
 def setvector_from_json(text: str, n: int, extended: bool = False) -> SetVector:
-    obj = json.loads(text)
+    """Parse {"[i, j, ...]": "p/q", ...}; each subset may appear once."""
+    # objects load as tuples of pairs, so a repeated key is seen, not dropped
+    pairs = json.loads(text, object_pairs_hook=tuple)
+    if not isinstance(pairs, tuple):
+        raise ValueError("point must be a JSON object mapping subsets to values")
     values = {}
-    for key, val in obj.items():
-        idx = json.loads(key)
+    for key, val in pairs:
+        try:
+            idx = json.loads(key)
+        except json.JSONDecodeError:
+            idx = None
+        if not (isinstance(idx, list)
+                and all(type(i) is int for i in idx)):  # bool is an int
+            raise ValueError(f"point key {key!r} is not a list of item indices")
+        if any(i < 0 for i in idx):
+            raise ValueError(f"point key {key!r} has a negative item index")
         m = mask_of(idx)
         if m >> n:
             raise ValueError(f"subset {idx} outside ground set of size {n}")
+        if m in values:
+            raise ValueError(f"subset {indices_of(m)} is given twice")
         values[m] = rat(val)
     return SetVector(n, values, extended)

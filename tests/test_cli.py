@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from liftlab import (Q, Solution, instance_to_json, integer_to_moment,
-                     make_instance, setvector_to_json, uniform_gap_instance)
+from liftlab import (Q, SetVector, Solution, family_p_t, instance_to_json,
+                     integer_to_moment, make_instance, setvector_to_json,
+                     uniform_gap_instance)
 from liftlab.cli import main
 
 
@@ -92,6 +93,31 @@ def test_verify_accepts_integer_point(inst_file, tmp_path, capsys):
                  "--mode", "lasserre", "--t", "2"])
     assert code == 0
     assert "accepted" in capsys.readouterr().out
+
+
+def test_lasserre_verify_says_when_the_orbit_blocks_decided(inst_file, tmp_path,
+                                                             capsys):
+    # the 6/5 point at uniform n=8: y_i = 3/20, y_ij = 9/1000, larger sets 0
+    inst_path = tmp_path / "u8.json"
+    inst_path.write_text(instance_to_json(uniform_gap_instance(8, "1/10")),
+                         encoding="utf-8")
+    level = [Q(1), Q(3, 20), Q(9, 1000), Q(0), Q(0)]
+    point = tmp_path / "pt.json"
+    point.write_text(setvector_to_json(SetVector(8, {
+        m: level[m.bit_count()] for m in family_p_t(8, 4).masks})), encoding="utf-8")
+    code = main(["verify", "--instance", str(inst_path), "--point", str(point),
+                 "--mode", "lasserre", "--t", "2", "--json"])
+    assert code == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["accepted"] is True and out["reduced"] is True
+    inst, path = inst_file  # sizes 1 and 2: the dense matrices decide
+    point.write_text(setvector_to_json(integer_to_moment(inst, Solution(1), 4)),
+                     encoding="utf-8")
+    code = main(["verify", "--instance", path, "--point", str(point),
+                 "--mode", "lasserre", "--t", "2", "--json"])
+    assert code == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["accepted"] is True and out["reduced"] is False
 
 
 def test_verify_rejects_bad_point(inst_file, tmp_path, capsys):
@@ -260,6 +286,26 @@ def test_float_in_point_is_usage_error(inst_file, tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text, says", [
+    ('[1, 2]', "point must be a JSON object"),
+    ('{"[]": "1", "[-1]": "1/2", "[0]": "0", "[1]": "0"}',
+     "point key '[-1]' has a negative item index"),
+    ('{"[]": "1", "[0,0]": "1/2", "[0]": "1/3", "[1]": "0"}', "subset [0] is given twice"),
+    ('{"[]": "1", "[0]": "1/2", "[0]": "1/3", "[1]": "0"}', "subset [0] is given twice"),
+    ('{"[]": "1", "0": "1/2", "[1]": "0"}', "point key '0' is not a list of item indices"),
+])
+def test_malformed_point_names_the_problem(inst_file, tmp_path, capsys, text, says):
+    _, path = inst_file
+    point = tmp_path / "pt.json"
+    point.write_text(text, encoding="utf-8")
+    code = main(["verify", "--instance", path, "--point", str(point),
+                 "--mode", "sa", "--t", "1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert says in err
 
 
 def test_sweep_json_says_why_a_row_failed(inst_file, capsys):

@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from liftlab import (Q, SetVector, Solution, all_constraints,
@@ -10,7 +11,9 @@ from liftlab import (Q, SetVector, Solution, all_constraints,
                      make_instance, mask_of, psd_exact, sa_gap_certificate,
                      sa_linear_constraints, sa_membership,
                      uniform_gap_instance, verify_gap_certificate)
-from liftlab.hierarchy import _sa_membership_dense
+from liftlab.hierarchy import (MembershipReport, _lasserre_membership_dense,
+                               _lasserre_orbit_tests, _orbit_blocks,
+                               _sa_membership_dense)
 
 from conftest import mixture_moment, point_mixture, rand_instance
 
@@ -384,3 +387,105 @@ def test_certificate_at_two_hundred_items():
     assert check.value == 200 * certificate_alpha(200, Q(1, 10), 40)
     assert check.report.checked == 41 + 40
     assert certificate_membership(20, "1/10", 5).checked == 6 + 5
+
+
+def _assert_lasserre_same_as_dense(y, inst, t):
+    fast = lasserre_membership(y, inst, t)
+    dense = _lasserre_membership_dense(y, inst, t)
+    assert fast.reduced and not dense.reduced
+    assert fast.accepted == dense.accepted, (fast.describe(), dense.describe())
+    # the same violations by kind and witness; y_0 and range margins too
+    assert ([(v.kind, v.witness) for v in fast.violations]
+            == [(v.kind, v.witness) for v in dense.violations])
+    scalar = ("y_empty", "range")
+    assert ([v for v in fast.violations if v.kind in scalar]
+            == [v for v in dense.violations if v.kind in scalar])
+    return fast
+
+
+def test_lasserre_orbit_blocks_agree_with_the_dense_matrices(rng):
+    instances = [uniform_gap_instance(n, eps) for n in range(1, 9)
+                 for eps in ("1/10", "1/3")]
+    instances += [make_instance([3] * n, [5] * n, "27/5") for n in (4, 6)]
+    instances.append(make_instance([2] * 5, [1, 2, 3, 4, 5], 3))
+    counts = {True: 0, False: 0}
+    kinds = set()
+    for inst in instances:
+        n = inst.n
+        fits = min(int(inst.capacity / inst.sizes[0]), n)
+        for t in range(1, min(n, 3) + 1):
+            depth = min(2 * t, n)
+            for _ in range(2 if n < 8 or t < 3 else 1):
+                # symmetrized feasible points pass by construction ...
+                weights = {k: Q(rng.randint(0, 3)) for k in range(fits + 1)}
+                weights[rng.randint(0, fits)] += 1
+                total = sum(weights.values())
+                profile = _orbit_mixture(n, {k: w / total for k, w in weights.items()},
+                                         depth)
+                report = _assert_lasserre_same_as_dense(
+                    _profile_point(n, profile), inst, t)
+                assert report.accepted
+                counts[True] += 1
+                # ... and one entry moved by 1/q may not
+                m = rng.randint(1, depth)
+                profile[m] += Q(rng.choice((-1, 1)), rng.randint(3, 40))
+                report = _assert_lasserre_same_as_dense(
+                    _profile_point(n, profile), inst, t)
+                counts[report.accepted] += 1
+                kinds.update(v.kind for v in report.violations)
+    # the exactly verified points above OPT = 1: 31/25 at n=4 and 6/5 at n=8
+    for n, y1, y2 in ((4, Q(31, 100), Q(13, 250)), (8, Q(3, 20), Q(9, 1000))):
+        point = _profile_point(n, [Q(1), y1, y2, Q(0), Q(0)])
+        report = _assert_lasserre_same_as_dense(point, uniform_gap_instance(n, "1/10"), 2)
+        assert report.accepted and report.checked == 1 + len(point.values) + 3 + 2
+        counts[True] += 1
+    assert counts[True] >= 20 and counts[False] >= 20, counts
+    assert {"moment M_Pt(V)", "constraint[0] M_Pt-1(V)(g*y)", "range"} <= kinds
+
+
+def test_orbit_blocks_reproduce_the_dense_spectrum(rng):
+    # Schrijver's blocks, scaled by C(n-2k, i-k)^(-1/2) on both sides and
+    # counted C(n, k) - C(n, k-1) times, carry the dense matrix's eigenvalues
+    for _ in range(120):
+        n = rng.randint(1, 8)
+        top = rng.randint(0, min(n, 3))
+        x = [rng.uniform(-1, 1) for _ in range(min(2 * top, n) + 1)]
+        fam = family_p_t(n, top).masks
+        dense = np.linalg.eigvalsh(np.array([[x[(a | b).bit_count()] for b in fam]
+                                             for a in fam]))
+        spectrum = []
+        for k, block in enumerate(_orbit_blocks(x, n, top)):
+            scale = np.array([math.comb(n - 2 * k, i - k) ** -0.5
+                              for i in range(k, k + len(block))])
+            scaled = np.array(block, dtype=float) * np.outer(scale, scale)
+            mult = math.comb(n, k) - (math.comb(n, k - 1) if k else 0)
+            spectrum += list(np.linalg.eigvalsh(scaled)) * mult
+        assert len(spectrum) == len(fam)
+        assert np.allclose(np.sort(spectrum), dense, atol=1e-9), (n, top, x)
+
+
+def test_lasserre_orbit_tests_at_two_hundred_items():
+    # level 10 at n = 200 on the profile alone: no SetVector over P_20(V)
+    inst = uniform_gap_instance(200, "1/10")
+    singletons = [Q(1), Q(1, 200)] + [Q(0)] * 19
+    report = MembershipReport()
+    _lasserre_orbit_tests(singletons, inst, 10, report)
+    assert report.accepted and report.reduced
+    assert report.checked == 11 + 10
+    # pairs at 1/100 exceed singletons at 1/200: [[y_i, y_ij], [y_ij, y_ij]] fails
+    pairs = singletons[:2] + [Q(1, 100)] + singletons[3:]
+    report = MembershipReport()
+    _lasserre_orbit_tests(pairs, inst, 10, report)
+    assert not report.accepted
+    assert "moment M_Pt(V)" in [v.kind for v in report.violations]
+
+
+def test_lasserre_orbit_path_needs_equal_sizes_and_a_symmetric_point():
+    profile = [Q(1), Q(1, 5), Q(0), Q(0), Q(0)]
+    uniform = uniform_gap_instance(5, "1/10")
+    assert lasserre_membership(_profile_point(5, profile), uniform, 2).reduced
+    skewed = make_instance([1, 1, 1, 1, 2], [1] * 5, 2)
+    assert not lasserre_membership(_profile_point(5, profile), skewed, 2).reduced
+    y = _profile_point(5, profile)
+    y.values[0b11] = Q(1, 50)
+    assert not lasserre_membership(y, uniform, 2).reduced
