@@ -9,7 +9,6 @@ the decomposition of vanishing-condition points into conditioned
 """
 
 from .decomposition import (DecompositionResult, big_items, decompose,
-                            overflow_vanishing_check, t_families,
                             vanishing_condition, verify_decomposition)
 from .hierarchy import (CertificateCheck, LiftedInequality, MembershipReport,
                         Violation, certificate_alpha, certificate_membership,
@@ -31,7 +30,7 @@ from .solvers import (LasserreEstimate, lasserre_value, sa_lp_problem,
 from .subsets import (MultilinearPoly, SetVector, SubsetFamily, char_poly,
                       extend, family_p_t, family_powerset, indices_of,
                       is_closed_under_shifting, mask_of, moment_matrix,
-                      poly_shift, project, restrict_reindex,
+                      poly_shift, restrict_reindex,
                       setvector_from_json, setvector_to_json, shift, submasks,
                       w_normalize, z_vector)
 from .sweep import ResultRow, SweepConfig, emit_csv, run_sweep
@@ -51,13 +50,12 @@ __all__ = [
     "instance_from_json", "instance_to_json", "integer_to_moment",
     "is_closed_under_shifting", "lasserre_membership", "lasserre_value",
     "lp_value", "make_instance", "mask_of", "matrix_to_float",
-    "min_eigenvalue", "moment_matrix", "opt_solution",
-    "overflow_vanishing_check", "poly_shift", "project", "project_psd",
-    "psd_exact", "psd_float", "rat", "rat_str", "residual",
+    "min_eigenvalue", "moment_matrix", "opt_solution", "poly_shift",
+    "project_psd", "psd_exact", "psd_float", "rat", "rat_str", "residual",
     "restrict_reindex", "run_sweep", "sa_gap_certificate",
     "sa_linear_constraints", "sa_lp_problem", "sa_membership", "sa_value",
     "setvector_from_json", "setvector_to_json", "shift", "simplex_exact",
-    "submasks", "t_families", "uniform_gap_instance",
+    "submasks", "uniform_gap_instance",
     "vanishing_condition", "verify_decomposition", "verify_gap_certificate",
     "w_normalize", "z_vector",
 ]

@@ -4,15 +4,13 @@ combination of conditioned vectors w^X, and verify all claimed properties.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .hierarchy import MembershipReport, lasserre_membership
 from .knapsack import KnapsackInstance, opt_solution, residual
 from .rationals import ZERO, ONE
-from .subsets import (SetVector, SubsetFamily, extend, family_p_t, indices_of,
-                      mask_of, restrict_reindex, submasks, w_normalize,
-                      z_vector)
+from .subsets import (SetVector, extend, family_p_t, indices_of, mask_of,
+                      restrict_reindex, submasks, w_normalize, z_vector)
 
 MAX_SPLIT_SET = 16
 
@@ -23,9 +21,6 @@ class DecompositionResult:
     k: int
     level: int  # the level t of the decomposed input
     parts: tuple  # ((x_mask, weight, w: SetVector over P_{2t-2k}(V)), ...)
-
-    def weights(self):
-        return [w for _, w, _ in self.parts]
 
 
 def vanishing_condition(y: SetVector, s_mask: int, k: int) -> bool:
@@ -40,38 +35,6 @@ def big_items(inst: KnapsackInstance, k: int) -> int:
         raise ValueError("threshold k must be >= 1")
     cutoff = opt_solution(inst)[1] / k
     return mask_of(i for i in range(inst.n) if inst.values[i] > cutoff)
-
-
-def overflow_vanishing_check(y: SetVector, inst: KnapsackInstance,
-                             s_mask: int, t: int, tol=0) -> MembershipReport:
-    """Check that y_I vanishes whenever the S-part of I overflows the capacity.
-
-    tol=0 demands exact zeros; a positive tol admits rounded solver output.
-    """
-    report = MembershipReport()
-    for m, v in y.values.items():
-        report.checked += 1
-        if inst.cost(m & s_mask) > inst.capacity:
-            bad = (v != 0) if tol == 0 else (abs(v) > tol)
-            if bad:
-                report.add("overflow entry", indices_of(m), v)
-    return report
-
-
-def t_families(n: int, s_mask: int, t: int, k: int) -> tuple[SubsetFamily, SubsetFamily]:
-    """The shift-closed families T1 = {A : |A\\S| <= t-k} and T2 (strict)."""
-    if k >= t:
-        raise ValueError("need k < t")
-    outside = [i for i in range(n) if not (s_mask >> i) & 1]
-    t1, t2 = [], []
-    for inner in submasks(s_mask):
-        for size in range(min(t - k, len(outside)) + 1):
-            for combo in itertools.combinations(outside, size):
-                m = inner | mask_of(combo)
-                t1.append(m)
-                if size < t - k:
-                    t2.append(m)
-    return SubsetFamily(t1), SubsetFamily(t2)
 
 
 def check_split(inst: KnapsackInstance, s_mask: int, k: int, t: int):

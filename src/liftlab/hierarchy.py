@@ -58,7 +58,7 @@ class MembershipReport:
 
 def integer_to_moment(inst: KnapsackInstance, sol: Solution, depth: int) -> SetVector:
     """Moment vector of a feasible 0/1 point: y_I = 1 iff I is contained in it."""
-    chosen = sol.chosen if isinstance(sol, Solution) else sol
+    chosen = sol.chosen
     if chosen >> inst.n:
         raise ValueError("solution uses items outside the instance")
     if not inst.is_feasible(chosen):
@@ -178,6 +178,16 @@ def _orbit_differences(profile, size: int) -> list:
             for i in range(size + 1)]
 
 
+def _capacity_profile(x, inst: KnapsackInstance, top: int) -> list:
+    """(g*y)_m = C x_m - c (m x_m + (n-m) x_{m+1}) for m = 0..top: the
+    capacity shift of a point with cardinality profile x on an instance
+    with equal sizes c. x_{n+1} reads as 0; its weight n - n is 0 anyway."""
+    n, cap, c = inst.n, inst.capacity, inst.sizes[0]
+    x = list(x) + [ZERO]
+    return [cap * x[m] - c * (m * x[m] + (n - m) * x[m + 1])
+            for m in range(top + 1)]
+
+
 def _sa_orbit_tests(profile, inst: KnapsackInstance, t: int,
                     report: MembershipReport):
     """The Moebius sign tests of sa_membership for a point with cardinality
@@ -187,11 +197,9 @@ def _sa_orbit_tests(profile, inst: KnapsackInstance, t: int,
     |U| = t form one orbit, all |W| = t-1 another, and B(I, U\\I) depends
     only on |I|. One test per value of |I| decides each orbit; a failing
     orbit is reported at its first member with the margin every member has.
-    The capacity profile is (g*y)_k = C y_k - c (k y_k + (n-k) y_{k+1}).
+    The capacity profile comes from `_capacity_profile`.
     """
-    n, cap, c = inst.n, inst.capacity, inst.sizes[0]
-    shifted = [cap * profile[k] - c * (k * profile[k] + (n - k) * profile[k + 1])
-               for k in range(t)]
+    shifted = _capacity_profile(profile, inst, t - 1)
     report.reduced = True
     for kind, values, size in (("moment M_P(U)", profile, t),
                                ("constraint[0] M_P(W)(g*y)", shifted, t - 1)):
@@ -303,10 +311,8 @@ def _lasserre_orbit_tests(profile, inst: KnapsackInstance, t: int,
     `_orbit_blocks`; a failing matrix is reported once, with the pivot of
     its first failing block as the margin.
     """
-    n, cap, c = inst.n, inst.capacity, inst.sizes[0]
-    y = list(profile) + [ZERO]  # y_{n+1} is read only with weight n - n = 0
-    shifted = [cap * y[m] - c * (m * y[m] + (n - m) * y[m + 1])
-               for m in range(min(2 * t - 2, n) + 1)]
+    n = inst.n
+    shifted = _capacity_profile(profile, inst, min(2 * t - 2, n))
     report.reduced = True
     for kind, witness, x, size in (("moment M_Pt(V)", (t,), profile, t),
                                    ("constraint[0] M_Pt-1(V)(g*y)", (t - 1,),

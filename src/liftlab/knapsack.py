@@ -78,9 +78,6 @@ class LinearConstraint:
     coefficients: tuple
     offset: object
 
-    def eval_point(self, x):
-        return self.offset + sum(a * xi for a, xi in zip(self.coefficients, x))
-
 
 def capacity_constraint(inst: KnapsackInstance) -> LinearConstraint:
     """g(x) = C - sum_i c_i x_i >= 0."""

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hierarchy import _capacity_row, _disjoint_pairs, _signed_base
-from .knapsack import (KnapsackInstance, capacity_constraint, lp_value,
-                       opt_solution)
+from .knapsack import (KnapsackInstance, capacity_constraint, greedy,
+                       lp_value, opt_solution)
 from .psd import project_psd
 from .rationals import Q, ZERO, rat_str
 from .simplex import LPProblem, simplex_exact
@@ -305,10 +305,12 @@ def lasserre_value(inst: KnapsackInstance, t: int, tol: float = 1e-4,
     M_{P_{t-1}}(g*y) for the capacity g (eigenvalue clamping) and the
     affine/box set (closed form); tau counts as reachable only when the
     combined residual drops below FEAS_TOL. The returned value is the
-    objective of the best near-feasible point: a lower estimate. The box
-    localizers are congruences P^T M P, Q^T M Q of the moment matrix M
-    with ||P||^2 = ||Q||^2 = 2 (see `lasserre_membership`), so their
-    smallest eigenvalues stay above -2 * FEAS_TOL without a block.
+    objective of the best near-feasible point: a lower estimate. It starts
+    from an optimal 0/1 point, or from the greedy one where `opt_solution`
+    refuses the instance (non-uniform, over 24 items). The box localizers
+    are congruences P^T M P, Q^T M Q of the moment matrix M with
+    ||P||^2 = ||Q||^2 = 2 (see `lasserre_membership`), so their smallest
+    eigenvalues stay above -2 * FEAS_TOL without a block.
 
     On a uniform instance (equal sizes, equal values) each iterate is
     averaged over item permutations (Gatermann-Parrilo 2004). They map
@@ -324,9 +326,14 @@ def lasserre_value(inst: KnapsackInstance, t: int, tol: float = 1e-4,
         raise ValueError("max_sweeps must be >= 1")
     ws = _LasserreWorkspace(inst, t)
 
-    sol, opt_val = opt_solution(inst)
+    try:
+        sol, start_val = opt_solution(inst)
+        start = "the integer optimum"
+    except ValueError:  # no exact search at this n; any feasible 0/1 point will do
+        sol, start_val = greedy(inst)
+        start = "the greedy value"
     best_point = np.array([float(m & ~sol.chosen == 0) for m in ws.masks])
-    lo = float(opt_val)
+    lo = float(start_val)
     hi = float(lp_value(inst))
     sweeps_total = 0
     bisections = 0
@@ -352,7 +359,7 @@ def lasserre_value(inst: KnapsackInstance, t: int, tol: float = 1e-4,
             hi = tau
     if not moved:
         notes.append(f"no bisection step reached feasibility: the estimate "
-                     f"is the integer optimum {rat_str(opt_val)}")
+                     f"is {start} {rat_str(start_val)}")
     final_resid = ws.residual(best_point, 0.0)
     return LasserreEstimate(
         value=ws.objective(best_point),

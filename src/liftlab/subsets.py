@@ -45,12 +45,6 @@ def submasks(mask: int):
         sub = (sub - 1) & mask
 
 
-def supersets_within(base: int, room: int):
-    """All masks J with base <= J <= base | room (room disjoint from base)."""
-    for extra in submasks(room):
-        yield base | extra
-
-
 def canon_key(mask: int) -> tuple[int, int]:
     """Canonical family order: cardinality first, then numeric bitmask."""
     return (mask.bit_count(), mask)
@@ -141,15 +135,10 @@ class SetVector:
             return v
         if self.extended:
             return ZERO
-        if mask in self.values:
-            return self.values[mask]
         raise KeyError(f"subset {indices_of(mask)} outside support of non-extended vector")
 
     def get(self, mask: int, default=ZERO):
         return self.values.get(mask, default)
-
-    def support(self):
-        return sorted(self.values, key=canon_key)
 
     def __eq__(self, other):
         if not isinstance(other, SetVector) or self.n != other.n:
@@ -168,11 +157,6 @@ class SetVector:
 def extend(y: SetVector) -> SetVector:
     """Extension: same stored entries, out-of-support lookups read as 0."""
     return SetVector(y.n, dict(y.values), extended=True)
-
-
-def project(y: SetVector, family: SubsetFamily) -> SetVector:
-    """Restrict y to the given family (entries must be readable)."""
-    return SetVector(y.n, {m: y[m] for m in family.masks})
 
 
 def restrict_reindex(y: SetVector, keep_mask: int) -> SetVector:
@@ -207,9 +191,9 @@ def char_poly(s_mask: int, x_mask: int) -> MultilinearPoly:
     if x_mask & ~s_mask:
         raise ValueError("X must be a subset of S")
     coeffs = {}
-    for j in supersets_within(x_mask, s_mask & ~x_mask):
-        sign = -1 if (j & ~x_mask).bit_count() % 2 else 1
-        coeffs[j] = Q(sign)
+    for extra in submasks(s_mask & ~x_mask):
+        sign = -1 if extra.bit_count() % 2 else 1
+        coeffs[x_mask | extra] = Q(sign)
     return MultilinearPoly(coeffs)
 
 
@@ -234,14 +218,11 @@ def shift(x: SetVector, y: SetVector) -> SetVector:
     return SetVector(n, values, extended=True)
 
 
-def poly_shift(p: MultilinearPoly, y: SetVector, masks=None) -> SetVector:
+def poly_shift(p: MultilinearPoly, y: SetVector, masks) -> SetVector:
     """(P*y)_I = sum_J a_J y_{I u J}, on the given index masks.
 
-    Defaults to y's stored support. Out-of-support reads follow y's
-    extension flag.
+    Out-of-support reads follow y's extension flag.
     """
-    if masks is None:
-        masks = y.support()
     items = [(j, a) for j, a in p.coeffs.items() if a != 0]
     values = {}
     for i in masks:
@@ -296,7 +277,7 @@ def setvector_to_json(y: SetVector) -> str:
     return json.dumps(obj, indent=1)
 
 
-def setvector_from_json(text: str, n: int, extended: bool = False) -> SetVector:
+def setvector_from_json(text: str, n: int) -> SetVector:
     """Parse {"[i, j, ...]": "p/q", ...}; each subset may appear once."""
     # objects load as tuples of pairs, so a repeated key is seen, not dropped
     pairs = json.loads(text, object_pairs_hook=tuple)
@@ -319,4 +300,4 @@ def setvector_from_json(text: str, n: int, extended: bool = False) -> SetVector:
         if m in values:
             raise ValueError(f"subset {indices_of(m)} is given twice")
         values[m] = rat(val)
-    return SetVector(n, values, extended)
+    return SetVector(n, values)

@@ -295,6 +295,7 @@ def test_float_in_point_is_usage_error(inst_file, tmp_path, capsys):
     ('{"[]": "1", "[0,0]": "1/2", "[0]": "1/3", "[1]": "0"}', "subset [0] is given twice"),
     ('{"[]": "1", "[0]": "1/2", "[0]": "1/3", "[1]": "0"}', "subset [0] is given twice"),
     ('{"[]": "1", "0": "1/2", "[1]": "0"}', "point key '0' is not a list of item indices"),
+    ('{"[]": "1", "[0": "1/2", "[1]": "0"}', "point key '[0' is not a list of item indices"),
 ])
 def test_malformed_point_names_the_problem(inst_file, tmp_path, capsys, text, says):
     _, path = inst_file
@@ -316,6 +317,21 @@ def test_sweep_json_says_why_a_row_failed(inst_file, capsys):
     (row,) = json.loads(capsys.readouterr().out)
     assert row["status"] == "error"
     assert row["error"].startswith("ValueError: ") and "uniform" in row["error"]
+
+
+def test_sweep_json_lasserre_row_above_the_search_cap(tmp_path, capsys):
+    # 25 non-uniform items: no exact OPT, so the optimizer starts from greedy
+    # and the row has a value but no ratio
+    path = tmp_path / "big.json"
+    path.write_text(instance_to_json(make_instance([1] * 24 + [2], [1] * 24 + [3],
+                                                   "5/2")), encoding="utf-8")
+    code = main(["sweep", "--family", "files", "--files", str(path), "--t", "1",
+                 "--modes", "lasserre", "--tol", "1e-3", "--json"])
+    assert code == 0
+    (row,) = json.loads(capsys.readouterr().out)
+    assert (row["status"], row["ratio"]) == ("approx", "")
+    assert 3 <= float(row["value"]) <= 3.5 + 1e-3
+    assert row["error"].startswith("ratio: ValueError: ")
 
 
 def test_sweep_stdout_and_file_csv_agree(tmp_path, capsys):

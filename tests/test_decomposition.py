@@ -3,13 +3,12 @@ import random
 
 import pytest
 
-from liftlab import (Q, SetVector, Solution, big_items, decompose,
-                     integer_to_moment, lasserre_membership, lp_value,
-                     make_instance, mask_of, opt_solution,
-                     overflow_vanishing_check, residual, t_families,
+from liftlab import (Q, DecompositionResult, SetVector, Solution, big_items,
+                     decompose, integer_to_moment, lasserre_membership,
+                     lp_value, make_instance, mask_of, opt_solution, residual,
                      uniform_gap_instance, vanishing_condition,
                      verify_decomposition)
-from liftlab.subsets import indices_of, is_closed_under_shifting
+from liftlab.subsets import indices_of
 
 from conftest import mixture_moment, point_mixture, rand_instance
 
@@ -38,37 +37,6 @@ def test_vanishing_condition():
     assert vanishing_condition(y, 0b011, 2)
     assert not vanishing_condition(y, 0b011, 1)
     assert vanishing_condition(y, 0, 1)
-
-
-def test_overflow_vanishing_check(rng):
-    inst = uniform_gap_instance(4, "1/10")
-    pts = [0, 0b0001, 0b0010]
-    y = mixture_moment(inst, point_mixture(rng, pts), 4)
-    s_mask = 0b1111
-    assert overflow_vanishing_check(y, inst, s_mask, 2).accepted
-    # negative control: hand the moment of an overflowing pair nonzero mass
-    bad = y.copy()
-    bad.values[0b0011] = Q(1, 7)
-    report = overflow_vanishing_check(bad, inst, s_mask, 2)
-    assert not report.accepted
-    assert report.violations[0].kind == "overflow entry"
-    # a positive tolerance admits rounded near-zeros
-    tiny = y.copy()
-    tiny.values[0b0011] = Q(1, 10 ** 12)
-    assert overflow_vanishing_check(tiny, inst, s_mask, 2, tol=Q(1, 10 ** 9)).accepted
-
-
-def test_t_families_shapes_and_closure():
-    n, s, t, k = 4, 0b0011, 3, 1
-    t1, t2 = t_families(n, s, t, k)
-    assert set(t1.masks) == {a for a in range(1 << n)
-                             if (a & ~s).bit_count() <= t - k}
-    assert set(t2.masks) == {a for a in range(1 << n)
-                             if (a & ~s).bit_count() < t - k}
-    assert is_closed_under_shifting(t1, s)
-    assert is_closed_under_shifting(t2, s)
-    with pytest.raises(ValueError):
-        t_families(n, s, 2, 2)
 
 
 def test_decompose_single_integer_point(rng):
@@ -115,7 +83,7 @@ def test_decompose_and_verify_mixtures(rng):
         result = decompose(y, inst, s_mask, k, t)
         report = verify_decomposition(result, y, inst, t, k)
         assert report.accepted, report.describe()
-        assert sum(result.weights()) == 1
+        assert sum(w for _, w, _ in result.parts) == 1
 
 
 def test_decompose_guards():
@@ -183,3 +151,33 @@ def test_verify_reports_reconstruction_mismatch(rng):
     tampered.values[mask_of([2])] += Q(1, 97)
     report = verify_decomposition(result, tampered, inst, t, k)
     assert any(v.kind == "reconstruction" for v in report.violations)
+
+
+def test_verify_rejects_a_tampered_part(rng):
+    # items 0 and 1 form S; the part X = {0} leaves capacity 4 - 3 = 1
+    # for items 2 and 3, so item 3 (size 3) never fits beside it
+    inst = make_instance([3, 1, 1, 3], [5, 1, 1, 2], 4)
+    t, k, s_mask = 3, 2, 0b0011
+    y = mixture_moment(inst, point_mixture(rng, [0b0001, 0b0010, 0b0110]), 2 * t)
+    result = decompose(y, inst, s_mask, k, t)
+    assert verify_decomposition(result, y, inst, t, k).accepted
+    (at,) = [p for p, (x_mask, _, _) in enumerate(result.parts) if x_mask == 0b0001]
+    x_mask, weight, w = result.parts[at]
+
+    def kinds(tampered):
+        parts = list(result.parts)
+        parts[at] = (x_mask, weight, tampered)
+        report = verify_decomposition(
+            DecompositionResult(s_mask, k, t, tuple(parts)), y, inst, t, k)
+        assert not report.accepted
+        return {v.kind for v in report.violations}
+
+    off = w.copy()  # item 1 of S is half in, although X says out
+    off.values[0b0010] = Q(1, 2)
+    assert "w 0/1 pattern on S" in kinds(off)
+    pair = w.copy()  # y_{0,1} = 1 with y_1 = 0: M_P1 has the minor [[0, 1], [1, 1]]
+    pair.values[0b0011] = Q(1)
+    assert "w membership La_{t-k}" in kinds(pair)
+    # the 0/1 point X u {3}: item 3 outside S in full, past the residual capacity
+    heavy = SetVector(w.n, {m: Q(1) if m & ~0b1001 == 0 else Q(0) for m in w.values})
+    assert "w membership La_{t-k}(residual)" in kinds(heavy)

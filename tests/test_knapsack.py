@@ -119,10 +119,10 @@ def test_constraints_shapes_and_order():
     assert len(cons) == 1 + 2 * inst.n
     assert cons[0] == capacity_constraint(inst)
     assert cons[1:] == box_constraints(inst)
-    # capacity row evaluates C - sum c_i x_i
-    assert cons[0].eval_point([Q(1), Q(1, 2)]) == 0
-    assert cons[1].eval_point([Q(1, 3), Q(0)]) == Q(1, 3)
-    assert cons[1 + inst.n].eval_point([Q(1, 3), Q(0)]) == Q(2, 3)
+    # capacity row C - sum c_i x_i, then x_i >= 0, then 1 - x_i >= 0
+    assert (cons[0].coefficients, cons[0].offset) == ((Q(-1), Q(-2)), Q(2))
+    assert (cons[1].coefficients, cons[1].offset) == ((Q(1), Q(0)), Q(0))
+    assert (cons[1 + inst.n].coefficients, cons[1 + inst.n].offset) == ((Q(-1), Q(0)), Q(1))
 
 
 def test_residual_relaxes_standing_assumption():

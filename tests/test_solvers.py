@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from liftlab import (LPProblem, Q, certificate_alpha, family_p_t,
+from liftlab import (LPProblem, Q, certificate_alpha, family_p_t, greedy,
                      lasserre_value, lp_value, make_instance, opt_solution,
                      sa_linear_constraints, sa_lp_problem, sa_value,
                      simplex_exact, uniform_gap_instance)
@@ -166,6 +166,21 @@ def test_lasserre_notes_an_estimate_stuck_at_the_integer_optimum():
     assert est.bisections == 1
     assert est.value == float(opt_solution(inst)[1])
     assert any("integer optimum 1" in n for n in est.notes)
+
+
+def test_lasserre_starts_from_greedy_above_the_search_cap():
+    # 25 non-uniform items: opt_solution refuses the instance
+    inst = make_instance([1] * 24 + [2], [1] * 24 + [3], "5/2")
+    with pytest.raises(ValueError):
+        opt_solution(inst)
+    est = lasserre_value(inst, 1, tol=1e-3)
+    assert greedy(inst)[1] == 3 and lp_value(inst) == Q(7, 2)
+    assert 3 < est.value <= 3.5 + 1e-3
+    # greedy already attains the base LP here: no step, and the note says so
+    flat = make_instance([1] * 24 + [2], [1] * 25, 2)
+    est = lasserre_value(flat, 1, tol=1e-3)
+    assert est.bisections == 0 and est.value == 2.0
+    assert any("is the greedy value 2" in n for n in est.notes)
 
 
 def test_lasserre_value_at_least_opt_minus_tol(rng):

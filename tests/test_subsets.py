@@ -7,7 +7,7 @@ import pytest
 from liftlab import (Q, SetVector, SubsetFamily, char_poly, extend,
                      family_p_t, family_powerset, indices_of,
                      is_closed_under_shifting, mask_of, moment_matrix,
-                     poly_shift, project, restrict_reindex,
+                     poly_shift, restrict_reindex,
                      setvector_from_json, setvector_to_json, shift, submasks,
                      w_normalize, z_vector)
 from liftlab.subsets import MultilinearPoly, canon_key
@@ -70,8 +70,6 @@ def test_setvector_lookup_semantics():
 
 def test_project_and_restrict_reindex():
     y = SetVector(3, {m: Q(m + 1) for m in range(8)})
-    p = project(y, family_p_t(3, 1))
-    assert set(p.values) == {0, 1, 2, 4}
     r = restrict_reindex(y, 0b101)  # keep items 0 and 2, relabeled 0 and 1
     assert r.n == 2
     assert r[0b10] == y[0b100]
