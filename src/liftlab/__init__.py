@@ -16,11 +16,9 @@ from .hierarchy import (CertificateCheck, LiftedInequality, MembershipReport,
                         lasserre_membership, sa_gap_certificate,
                         sa_linear_constraints, sa_membership,
                         verify_gap_certificate)
-from .knapsack import (KnapsackInstance, LinearConstraint, Solution,
-                       all_constraints, box_constraints, capacity_constraint,
-                       greedy, instance_from_json, instance_to_json, lp_value,
-                       make_instance, opt_solution, residual,
-                       uniform_gap_instance)
+from .knapsack import (KnapsackInstance, Solution, greedy, instance_from_json,
+                       instance_to_json, lp_value, make_instance, opt_solution,
+                       residual, uniform_gap_instance)
 from .psd import (EigenConvergenceError, matrix_to_float, min_eigenvalue,
                   project_psd, psd_exact, psd_float)
 from .rationals import ONE, Q, ZERO, rat, rat_str
@@ -40,12 +38,12 @@ __version__ = "0.1.0"
 __all__ = [
     "CertificateCheck", "DecompositionResult", "EigenConvergenceError",
     "KnapsackInstance", "LPInfeasible", "LPProblem", "LPUnbounded",
-    "LasserreEstimate", "LiftedInequality", "LinearConstraint",
+    "LasserreEstimate", "LiftedInequality",
     "MembershipReport", "MultilinearPoly", "ONE", "Q", "ResultRow",
     "SetVector", "Solution", "SubsetFamily", "SweepConfig",
-    "Violation", "ZERO", "all_constraints", "big_items", "box_constraints",
-    "capacity_constraint", "certificate_alpha", "certificate_membership",
-    "char_poly", "convex_combination", "decompose", "emit_csv", "extend",
+    "Violation", "ZERO", "big_items", "certificate_alpha",
+    "certificate_membership", "char_poly", "convex_combination", "decompose",
+    "emit_csv", "extend",
     "family_p_t", "family_powerset", "greedy", "indices_of",
     "instance_from_json", "instance_to_json", "integer_to_moment",
     "is_closed_under_shifting", "lasserre_membership", "lasserre_value",

@@ -187,8 +187,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "(lower estimate)")
     p.add_argument("--instance", required=True)
     p.add_argument("--t", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-4)
-    p.add_argument("--max-sweeps", type=int, default=50000)
+    p.add_argument("--tol", type=float, default=1e-4,
+                   help="gap bound at which the barrier path stops")
+    p.add_argument("--max-sweeps", type=int, default=50000,
+                   help="budget of Newton steps")
     _common_flags(p)
     p.set_defaults(func=_cmd_lasserre_value)
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .hierarchy import MembershipReport, lasserre_membership
-from .knapsack import KnapsackInstance, opt_solution, residual
+from .knapsack import KnapsackInstance, greedy, opt_solution, residual
 from .rationals import ZERO, ONE
 from .subsets import (SetVector, extend, family_p_t, indices_of, mask_of,
                       restrict_reindex, submasks, w_normalize, z_vector)
@@ -30,10 +30,16 @@ def vanishing_condition(y: SetVector, s_mask: int, k: int) -> bool:
 
 
 def big_items(inst: KnapsackInstance, k: int) -> int:
-    """Items with value strictly above OPT/k, as a bitmask."""
+    """Items with value strictly above OPT/k, as a bitmask. Where
+    `opt_solution` refuses the instance (non-uniform, over 24 items), the
+    greedy value stands in for OPT."""
     if k < 1:
         raise ValueError("threshold k must be >= 1")
-    cutoff = opt_solution(inst)[1] / k
+    try:
+        opt = opt_solution(inst)[1]
+    except ValueError:
+        opt = greedy(inst)[1]
+    cutoff = opt / k
     return mask_of(i for i in range(inst.n) if inst.values[i] > cutoff)
 
 

@@ -71,39 +71,6 @@ class Solution:
     chosen: int  # bitmask
 
 
-@dataclass(frozen=True)
-class LinearConstraint:
-    """Affine form b + sum_j a_j x_j >= 0 over the base variables."""
-
-    coefficients: tuple
-    offset: object
-
-
-def capacity_constraint(inst: KnapsackInstance) -> LinearConstraint:
-    """g(x) = C - sum_i c_i x_i >= 0."""
-    return LinearConstraint(tuple(-c for c in inst.sizes), inst.capacity)
-
-
-def box_constraints(inst: KnapsackInstance) -> list[LinearConstraint]:
-    """x_i >= 0 and 1 - x_i >= 0 for every item."""
-    out = []
-    n = inst.n
-    for i in range(n):
-        coeffs = [ZERO] * n
-        coeffs[i] = Q(1)
-        out.append(LinearConstraint(tuple(coeffs), ZERO))
-    for i in range(n):
-        coeffs = [ZERO] * n
-        coeffs[i] = Q(-1)
-        out.append(LinearConstraint(tuple(coeffs), Q(1)))
-    return out
-
-
-def all_constraints(inst: KnapsackInstance) -> list[LinearConstraint]:
-    """Capacity first, then the box constraints (the dense-definition test oracle)."""
-    return [capacity_constraint(inst)] + box_constraints(inst)
-
-
 def _ratio_order(inst: KnapsackInstance) -> list[int]:
     # decreasing v_i/c_i, ties broken by lower index
     return sorted(range(inst.n), key=lambda i: (-(inst.values[i] / inst.sizes[i]), i))

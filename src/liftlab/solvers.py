@@ -2,32 +2,38 @@
 
 sa_value: exact rational simplex over the linear SA system (reduced by
 item permutations on uniform instances).
-lasserre_value: bisection on the objective with alternating projections
-onto the moment and capacity-localizer PSD blocks; its result is a
-numerical LOWER estimate of the Lasserre optimum (it can corroborate
-upper bounds, never refute them).
+lasserre_value: damped Newton steps along the central path of a log-det
+barrier on the moment and capacity-localizer blocks (Schrijver's blocks on
+uniform instances); its result is the objective of a strictly feasible point, a
+numerical LOWER estimate of the Lasserre optimum (it can corroborate upper
+bounds, never refute them).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hierarchy import _capacity_row, _disjoint_pairs, _signed_base
-from .knapsack import (KnapsackInstance, capacity_constraint, greedy,
-                       lp_value, opt_solution)
-from .psd import project_psd
+from .hierarchy import (_capacity_profile, _capacity_row, _disjoint_pairs,
+                        _orbit_blocks, _signed_base)
+from .knapsack import KnapsackInstance, greedy, opt_solution
+from .psd import project_psd  # noqa: F401  unused here; perfbench/spans.py wraps it
 from .rationals import Q, ZERO, rat_str
 from .simplex import LPProblem, simplex_exact
-from .subsets import count_p_t, family_p_t
+from .subsets import count_p_t, family_p_t, indices_of
 
 # rows x variables of the dense SA LP (`sa_lp_size`). Measured on a 2-core
 # x86-64 box: n=12/t=3 (603,152) solves in 42 s, n=13/t=3 (980,200) in 148 s
 SA_DENSE_CAP = 700_000
 LASSERRE_DIM_CAP = 400
-FEAS_TOL = 1e-7
+# floats in the dense moment-block tensor, |P_2t| x |P_t|^2 (`lasserre_value`
+# off the uniform family). Measured on a 2-core x86-64 box at the default
+# tol: n=8/t=3 (2,136,303) solves in 22 s, n=11/t=2 (2,522,818) in 53 s,
+# n=12/t=2 (4,955,354) in 141 s; n=12/t=3 would hold 224,396,510 (1.8 GB)
+LASSERRE_DENSE_CAP = 3_000_000
 
 
 def sa_lp_problem(inst: KnapsackInstance, t: int) -> LPProblem:
@@ -119,11 +125,17 @@ def check_sa_size(inst: KnapsackInstance, t: int) -> None:
 
 
 def check_lasserre_size(inst: KnapsackInstance, t: int) -> None:
-    """Raise ValueError if lasserre_value(inst, t) would need a moment
-    matrix of dimension above LASSERRE_DIM_CAP."""
-    if count_p_t(inst.n, t) > LASSERRE_DIM_CAP:
+    """Raise ValueError if lasserre_value(inst, t) would need a moment matrix
+    of dimension above LASSERRE_DIM_CAP or, off the uniform family, a dense
+    moment-block tensor of |P_2t| x |P_t|^2 floats above LASSERRE_DENSE_CAP."""
+    dim = count_p_t(inst.n, t)
+    if dim > LASSERRE_DIM_CAP:
         raise ValueError(f"moment-matrix dimension at n={inst.n}, t={t} "
                          f"exceeds {LASSERRE_DIM_CAP}")
+    floats = count_p_t(inst.n, 2 * t) * dim * dim
+    if not inst.is_uniform() and floats > LASSERRE_DENSE_CAP:
+        raise ValueError(f"dense Lasserre blocks at n={inst.n}, t={t} hold "
+                         f"{floats} floats, over {LASSERRE_DENSE_CAP}")
 
 
 def sa_value(inst: KnapsackInstance, t: int):
@@ -144,178 +156,207 @@ def sa_value(inst: KnapsackInstance, t: int):
 
 @dataclass
 class LasserreEstimate:
-    value: float                 # objective of the best near-feasible point
-    point: dict                  # mask -> float
+    value: float                 # objective of the returned point
+    point: dict                  # mask -> float over P_2t(V)
     residual: float              # feasibility residual of that point
-    sweeps: int                  # total projection sweeps spent
-    bisections: int
+    sweeps: int                  # Newton steps spent
+    bisections: int              # barrier stages started
     tol: float
     notes: list = field(default_factory=list)
 
     def describe(self) -> str:
         msg = (f"lasserre lower estimate {self.value:.6f} "
-               f"(residual {self.residual:.2e}, {self.sweeps} sweeps, "
-               f"{self.bisections} bisection steps, tol {self.tol:g})")
+               f"(residual {self.residual:.2e}, {self.sweeps} Newton steps, "
+               f"{self.bisections} barrier stages, tol {self.tol:g})")
         return "\n".join([msg] + [f"  note: {n}" for n in self.notes])
 
 
-class _BlockData:
-    """Precomputed index arrays for one PSD block M_F(g*y)."""
-
-    def __init__(self, masks_index, family, g):
-        fam = family.masks
-        d = len(fam)
-        unions = sorted({fam[a] | fam[b] for a in range(d) for b in range(a, d)},
-                        key=lambda m: (m.bit_count(), m))
-        upos = {m: i for i, m in enumerate(unions)}
-        self.upos_matrix = np.array([[upos[a | b] for b in fam] for a in fam],
-                                    dtype=np.intp)
-        self.union_counts = np.bincount(self.upos_matrix.ravel(),
-                                        minlength=len(unions)).astype(float)
-        self.nunions = len(unions)
-        if g is None:  # plain moment block: entries are y_K directly
-            self.row_coords = None
-            self.iy = np.array([masks_index[m] for m in unions], dtype=np.intp)
-            return
-        # g*y rows: (g*y)_K = offset*y_K + sum_i a_i y_{K u i}
-        terms = [(1 << i, float(a)) for i, a in enumerate(g.coefficients) if a != 0]
-        offset = float(g.offset)
-        coords, coefs, invn = [], [], []
-        for m in unions:
-            cmap = {masks_index[m]: offset}
-            for bit, a in terms:
-                j = masks_index[m | bit]
-                cmap[j] = cmap.get(j, 0.0) + a
-            cs = np.array(list(cmap.keys()), dtype=np.intp)
-            cf = np.array(list(cmap.values()))
-            coords.append(cs)
-            coefs.append(cf)
-            norm2 = float(cf @ cf)
-            # (g*y)_K vanishes identically only when K = V and C = cost(V);
-            # such a row carries no degree of freedom to correct
-            invn.append(1.0 / norm2 if norm2 else 0.0)
-        self.row_coords = coords
-        self.row_coefs = coefs
-        self.row_invnorm = invn
-
-    def values(self, y):
-        if self.row_coords is None:
-            return y[self.iy]
-        return np.array([cf @ y[cs] for cs, cf in
-                         zip(self.row_coords, self.row_coefs)])
-
-    def project(self, y):
-        """One projection pass: clamp the block to PSD, push y toward it."""
-        u = self.values(y)
-        mat = u[self.upos_matrix]
-        target = project_psd(mat)
-        tvals = np.bincount(self.upos_matrix.ravel(), target.ravel(),
-                            minlength=self.nunions) / self.union_counts
-        if self.row_coords is None:
-            y[self.iy] = tvals
-            return
-        for r in range(self.nunions):  # Kaczmarz sweep onto (g*y)_K = target_K
-            cs, cf = self.row_coords[r], self.row_coefs[r]
-            resid = tvals[r] - cf @ y[cs]
-            if resid:
-                y[cs] += (resid * self.row_invnorm[r]) * cf
-
-    def min_eig(self, y):
-        mat = self.values(y)[self.upos_matrix]
-        return float(np.linalg.eigvalsh(mat)[0])
+def _forced_zero(inst: KnapsackInstance, mask: int, t: int) -> bool:
+    """True if every level-t Lasserre point has y_mask = 0 (see
+    `lasserre_value`): mask holds a K' with |K'| <= t-1 and cost K' > C, or
+    strictly holds one with cost K' >= C. Its heaviest items decide both."""
+    heavy = sorted((inst.sizes[i] for i in indices_of(mask)), reverse=True)
+    return (sum(heavy[:t - 1], ZERO) > inst.capacity
+            or bool(heavy) and sum(heavy[:min(t, len(heavy)) - 1], ZERO)
+            >= inst.capacity)
 
 
-class _LasserreWorkspace:
-    def __init__(self, inst: KnapsackInstance, t: int):
-        n = inst.n
-        self.masks = family_p_t(n, 2 * t).masks
-        self.index = {m: i for i, m in enumerate(self.masks)}
-        self.card = np.array([m.bit_count() for m in self.masks], dtype=np.intp)
-        self.card_counts = np.bincount(self.card).astype(float)
-        self.symmetric = inst.is_uniform()
-        self.singles = np.array([self.index[1 << i] for i in range(n)], dtype=np.intp)
-        self.obj_vec = np.array([float(v) for v in inst.values])
-        self.obj_norm2 = float(self.obj_vec @ self.obj_vec)
-        self.blocks = [_BlockData(self.index, family_p_t(n, t), None),
-                       _BlockData(self.index, family_p_t(n, t - 1),
-                                  capacity_constraint(inst))]
+def _trim(tensors) -> list:
+    """Float coefficient tensors [A_0, A_1, ...] of blocks A_0 + sum_j y_j A_j,
+    without empty blocks and the rows and columns zero in every A_j (those
+    of forced zeros, which would hold a block singular)."""
+    out = []
+    for a in tensors:
+        a = np.asarray(a, dtype=float)
+        keep = np.flatnonzero(np.abs(a).sum(axis=(0, 1)))
+        if keep.size:
+            out.append(a[:, keep][:, :, keep])
+    return out
 
-    def symmetrize(self, y):
-        if self.symmetric:  # orbit average over item permutations
-            means = np.bincount(self.card, y) / self.card_counts
-            y[:] = means[self.card]
 
-    def objective(self, y) -> float:
-        return float(self.obj_vec @ y[self.singles])
+def _dense_problem(inst: KnapsackInstance, t: int, masks) -> tuple:
+    """(objective, blocks, |K| per variable, column per mask: 0 for y_0,
+    j + 1 for variable j, -1 for a forced 0) of the level-t problem in the
+    y_K, K in P_2t(V) = masks nonempty and not forced to 0; the blocks are
+    M_{P_t}(y) and M_{P_t-1}(g*y), (g*y)_K = C y_K - sum_i c_i y_{K u i}."""
+    n = inst.n
+    free = [m for m in masks[1:] if not _forced_zero(inst, m, t)]
+    col = {m: j for j, m in enumerate([0] + free)}
 
-    def project_affine(self, y, tau):
-        y[0] = 1.0
-        np.clip(y, 0.0, 1.0, out=y)
-        obj = self.objective(y)
-        if obj < tau:
-            y[self.singles] += (tau - obj) / self.obj_norm2 * self.obj_vec
-            np.clip(y, 0.0, 1.0, out=y)
-            y[0] = 1.0
-        self.symmetrize(y)
+    def block(level, terms):  # entry (I, J) = sum of coef * y_{I u J u bit}
+        fam = family_p_t(n, level).masks
+        a = np.zeros((len(col), len(fam), len(fam)))
+        for r, ra in enumerate(fam):
+            for s, sb in enumerate(fam):
+                for bit, coef in terms:
+                    j = col.get(ra | sb | bit)
+                    if j is not None:
+                        a[j, r, s] += coef
+        return a
 
-    def residual(self, y, tau) -> float:
-        affine = max(abs(y[0] - 1.0),
-                     float(max(0.0, np.max(y - 1.0), np.max(-y))),
-                     max(0.0, tau - self.objective(y)))
-        eig = max((max(0.0, -b.min_eig(y)) for b in self.blocks))
-        return max(affine, eig)
+    capacity = [(0, float(inst.capacity))] + [(1 << i, -float(c))
+                                              for i, c in enumerate(inst.sizes)]
+    values = {1 << i: float(v) for i, v in enumerate(inst.values)}
+    return (np.array([values.get(m, 0.0) for m in free]),
+            _trim([block(t, [(0, 1.0)]), block(t - 1, capacity)]),
+            np.array([m.bit_count() for m in free]),
+            np.array([col.get(m, -1) for m in masks]))
 
-    def feasibility(self, tau, start, max_sweeps):
-        """Alternating projections; returns (feasible, point, residual, sweeps)."""
-        y = start.copy()
-        best_resid = math.inf
-        best_y = y.copy()
-        stall = 0
-        check_every = 10
-        for sweep in range(1, max_sweeps + 1):
-            self.project_affine(y, tau)
-            for block in self.blocks:
-                block.project(y)
-                self.symmetrize(y)
-            if sweep % check_every:
-                continue
-            probe = y.copy()
-            self.project_affine(probe, tau)
-            resid = self.residual(probe, tau)
-            if resid < best_resid * (1.0 - 1e-3):
-                stall = 0
-            else:
-                stall += 1
-            if resid < best_resid:
-                best_resid = resid
-                best_y = probe
-            if resid < FEAS_TOL:
-                return True, probe, resid, sweep
-            if stall >= 30:  # no 0.1% progress over 300 sweeps
-                return False, best_y, best_resid, sweep
-        return False, best_y, best_resid, max_sweeps
+
+def _orbit_problem(inst: KnapsackInstance, t: int, masks) -> tuple:
+    """`_dense_problem` on a uniform instance, in the profile y_m = y_K,
+    |K| = m <= min(2t, n), m not forced to 0. Item permutations map the
+    feasible set onto itself and keep the objective, so averaging an optimal
+    point over them gives an optimal point of this form (Gatermann-Parrilo
+    2004). The blocks are Schrijver's (`hierarchy._orbit_blocks`) of the
+    moment matrix and of the capacity localizer (`_capacity_profile`), built
+    on unit profiles: the exact checker's code, in floats."""
+    n = inst.n
+    top = min(2 * t, n)
+    free = [m for m in range(1, top + 1)
+            if not _forced_zero(inst, (1 << m) - 1, t)]
+    units = [[int(k == m) for k in range(top + 1)] for m in [0] + free]
+    moment = [_orbit_blocks(u, n, t) for u in units]
+    localizer = [_orbit_blocks(_capacity_profile(u, inst, min(2 * t - 2, n)),
+                               n, t - 1) for u in units]
+    col = {m: j for j, m in enumerate([0] + free)}
+    return (np.array([n * float(inst.values[0]) * (m == 1) for m in free]),
+            _trim([[units[b] for units in mats] for mats in (moment, localizer)
+                   for b in range(len(mats[0]))]),
+            np.array(free), np.array([col.get(m.bit_count(), -1) for m in masks]))
+
+
+def _barrier(c, blocks, degree, tol: float, max_steps: int):
+    """Maximize c.y over y in (0, 1)^vars with every block A_0 + sum_j
+    y_j A_j positive definite, by damped Newton steps along the central path
+    of f_s(y) = -s c.y - sum_k log det B_k(y) - sum log y - sum log(1 - y),
+    s growing 8-fold per stage until nu / s <= tol: the minimizer of f_s is
+    within nu / s = (sum of block dimensions + 2 #vars) / s of the optimum
+    (Vandenberghe-Boyd 1996). Starts from y_K = delta^|K|, shrinking delta
+    by a tenth until every block factors. Returns (y or None if no start
+    factors, Newton steps, stages, why the path ended early or None); a step
+    the line search cannot shorten to a decrease of f_s ends the path.
+    """
+    nu = sum(a.shape[1] for a in blocks) + 2 * len(c)
+
+    def factors(y):  # Cholesky factors of the blocks, None outside the interior
+        if not (np.all(y > 0) and np.all(y < 1)):
+            return None
+        try:
+            return [np.linalg.cholesky(a[0] + np.tensordot(y, a[1:], 1))
+                    for a in blocks]
+        except np.linalg.LinAlgError:
+            return None
+
+    def f(y, s, chol):
+        return (-s * (c @ y) - np.log(y).sum() - np.log1p(-y).sum()
+                - 2 * sum(np.log(np.diag(l)).sum() for l in chol))
+
+    def newton(y, s, chol):  # Newton direction and squared decrement
+        grad = -s * c - 1 / y + 1 / (1 - y)
+        hess = np.diag(1 / y ** 2 + 1 / (1 - y) ** 2)
+        for a, l in zip(blocks, chol):
+            # W_j = L^-1 A_j L^-T: tr W_j = tr B^-1 A_j, and <W_i, W_j> =
+            # tr B^-1 A_i B^-1 A_j is the log det term's Hessian
+            linv = np.linalg.inv(l)
+            w = linv @ a[1:] @ linv.T
+            grad -= np.einsum("jii->j", w)
+            hess += np.tensordot(w, w, axes=([1, 2], [1, 2]))
+        scale = 1 / np.sqrt(np.diag(hess))
+        step = scale * np.linalg.solve(hess * np.outer(scale, scale), -grad * scale)
+        if not np.all(np.isfinite(step)):
+            raise np.linalg.LinAlgError("non-finite Newton step")
+        return step, -(grad @ step)
+
+    # the second delta that factors: rounding can let a boundary point through
+    starts = (y for y in (d ** degree for d in 0.9 ** np.arange(1, 400))
+              if factors(y) is not None)
+    y = next(itertools.islice(starts, 1, None), None)
+    if y is None:
+        return None, 0, 0, "no start point y_K = delta^|K| is strictly feasible"
+    chol = factors(y)
+    s, steps, stage = 1.0, 0, 0
+    while True:
+        stage += 1
+        fy, last = f(y, s, chol), math.inf
+        while True:
+            try:
+                step, dec2 = newton(y, s, chol)
+            except np.linalg.LinAlgError:  # no step can be trusted
+                return y, steps, stage, (f"singular Newton system in barrier "
+                                         f"stage {stage}")
+            # near the center the decrement falls quadratically; once it
+            # stops falling, rounding has taken over
+            if dec2 <= 1e-10 or last <= dec2 < 1 / 16:
+                break
+            if steps == max_steps:
+                return y, steps, stage, (f"Newton step budget exhausted in "
+                                         f"barrier stage {stage}")
+            steps += 1
+            alpha, floor = 1.0, 0.25 / (1 + math.sqrt(dec2))
+            while True:
+                trial = y + alpha * step
+                tchol = factors(trial)
+                if tchol is not None:
+                    ft = f(trial, s, tchol)
+                    # a full step inside the quadratic region needs no test
+                    if dec2 < 1 / 16 or ft <= fy - alpha * dec2 / 4:
+                        break
+                alpha /= 2
+                if alpha < floor:
+                    return y, steps, stage, (f"the path stalled in barrier stage "
+                                             f"{stage}, gap bound {nu / s:.1e}")
+            y, chol, fy, last = trial, tchol, ft, dec2
+        if nu / s <= tol:
+            return y, steps, stage, None
+        s *= 8
 
 
 def lasserre_value(inst: KnapsackInstance, t: int, tol: float = 1e-4,
                    max_sweeps: int = 50000) -> LasserreEstimate:
-    """Approximate level-t Lasserre optimum by bisection on the objective.
+    """Approximate level-t Lasserre optimum by a log-det barrier (`_barrier`).
 
-    Feasibility of {objective >= tau} within the lifted polytope is
-    tested with cyclic projections onto the blocks M_{P_t}(y) and
-    M_{P_{t-1}}(g*y) for the capacity g (eigenvalue clamping) and the
-    affine/box set (closed form); tau counts as reachable only when the
-    combined residual drops below FEAS_TOL. The returned value is the
-    objective of the best near-feasible point: a lower estimate. It starts
-    from an optimal 0/1 point, or from the greedy one where `opt_solution`
-    refuses the instance (non-uniform, over 24 items). The box localizers
-    are congruences P^T M P, Q^T M Q of the moment matrix M with
-    ||P||^2 = ||Q||^2 = 2 (see `lasserre_membership`), so their smallest
-    eigenvalues stay above -2 * FEAS_TOL without a block.
+    The problem maximizes sum_i v_i y_i subject to 0 <= y_K <= 1,
+    M_{P_t}(y) PSD and M_{P_t-1}(g*y) PSD for the capacity g; the box
+    localizers are congruences of the moment matrix (`lasserre_membership`).
+    On a uniform instance (equal sizes, equal values) it is solved in the
+    cardinality profile (`_orbit_problem`), otherwise in every y_K
+    (`_dense_problem`). `tol` bounds the barrier's final gap; `max_sweeps`
+    caps its Newton steps.
 
-    On a uniform instance (equal sizes, equal values) each iterate is
-    averaged over item permutations (Gatermann-Parrilo 2004). They map
-    the feasible set onto itself and keep the objective, so the average
-    of a feasible point is feasible and has the same value.
+    Faces with no interior. For |K'| <= t-1 the localizer's diagonal entry
+    at K' reads (C - cost K') y_K' - sum_{i not in K'} c_i y_{K' u i} >= 0,
+    with every y in [0, 1]. So cost K' > C forces y_K' = 0, and cost K' >= C
+    forces each y_{K' u i} = 0. A zero diagonal entry y_K of the PSD moment
+    matrix zeroes its row, y_{K u J} for |J| <= t; for K <= L in P_2t take
+    K <= K'' <= L with |K''| = min(t, |L|): y_K'' = M[K, K''\\K] = 0, then
+    y_L = M[K'', L\\K''] = 0. Every forced y_K is dropped before the solve,
+    with the block rows it leaves zero (`_forced_zero`, `_trim`).
+
+    The barrier point is strictly feasible, so its objective is a lower
+    estimate. The 0/1 start, an optimal 0/1 point or the greedy one where
+    `opt_solution` refuses the instance (non-uniform, over 24 items),
+    replaces it whenever that is worth more or no start point factors.
     """
     if not 1 <= t <= inst.n:
         raise ValueError("level t must satisfy 1 <= t <= n")
@@ -324,49 +365,34 @@ def lasserre_value(inst: KnapsackInstance, t: int, tol: float = 1e-4,
         raise ValueError("tol must be positive and finite")
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be >= 1")
-    ws = _LasserreWorkspace(inst, t)
-
+    masks = family_p_t(inst.n, 2 * t).masks
+    notes = ["lower estimate: the objective of a strictly feasible point, "
+             "within tol of the optimum once the barrier path completes"]
+    if inst.is_uniform():
+        c, blocks, degree, column = _orbit_problem(inst, t, masks)
+        notes.append("solved on Schrijver's blocks in the cardinality "
+                     "profile: the instance is uniform")
+    else:
+        c, blocks, degree, column = _dense_problem(inst, t, masks)
     try:
         sol, start_val = opt_solution(inst)
         start = "the integer optimum"
     except ValueError:  # no exact search at this n; any feasible 0/1 point will do
         sol, start_val = greedy(inst)
         start = "the greedy value"
-    best_point = np.array([float(m & ~sol.chosen == 0) for m in ws.masks])
-    lo = float(start_val)
-    hi = float(lp_value(inst))
-    sweeps_total = 0
-    bisections = 0
-    moved = False
-    notes = ["lower estimate: alternating projections corroborate upper "
-             "bounds, they cannot refute them"]
-    if ws.symmetric:
-        notes.append("iterates averaged over item permutations: the "
-                     "instance is uniform")
-    while hi - lo > tol:
-        bisections += 1
-        tau = (lo + hi) / 2.0
-        ok, point, resid, sweeps = ws.feasibility(tau, best_point, max_sweeps)
-        sweeps_total += sweeps
-        if not ok and sweeps >= max_sweeps:
-            notes.append(f"sweep budget exhausted at tau={tau:.6f} "
-                         f"(last residual {resid:.2e})")
-        if ok:
-            moved = True
-            best_point = point
-            lo = max(tau, ws.objective(point))
-        else:
-            hi = tau
-    if not moved:
-        notes.append(f"no bisection step reached feasibility: the estimate "
-                     f"is {start} {rat_str(start_val)}")
-    final_resid = ws.residual(best_point, 0.0)
-    return LasserreEstimate(
-        value=ws.objective(best_point),
-        point={m: float(best_point[i]) for i, m in enumerate(ws.masks)},
-        residual=final_resid,
-        sweeps=sweeps_total,
-        bisections=bisections,
-        tol=tol,
-        notes=notes,
-    )
+    y, steps, stages, stop = _barrier(c, blocks, degree, tol, max_sweeps)
+    notes += [stop] if stop else []
+    value = -math.inf if y is None else float(c @ y)
+    if value < start_val:
+        notes.append(f"the 0/1 start is the better point: the estimate is "
+                     f"{start} {rat_str(start_val)}")
+        point = {m: float(m & ~sol.chosen == 0) for m in masks}
+        value, residual = float(start_val), 0.0
+    else:
+        full = np.concatenate(([1.0], y, [0.0]))
+        point = dict(zip(masks, full[column].tolist()))
+        # every block factored at y, so this is rounding at most
+        residual = max([0.0] + [-np.linalg.eigvalsh(
+            a[0] + np.tensordot(y, a[1:], 1))[0] for a in blocks])
+    return LasserreEstimate(value=value, point=point, residual=float(residual),
+                            sweeps=steps, bisections=stages, tol=tol, notes=notes)

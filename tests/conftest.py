@@ -6,8 +6,8 @@ import random
 import pytest
 
 # one BLAS thread per process, set before liftlab imports numpy: the
-# optimizer's eigensolves are small, and unpinned threads of concurrent
-# runs oversubscribe the cores
+# barrier's factorizations and products are small, and unpinned threads of
+# concurrent runs oversubscribe the cores
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 

@@ -334,6 +334,18 @@ def test_sweep_json_lasserre_row_above_the_search_cap(tmp_path, capsys):
     assert row["error"].startswith("ratio: ValueError: ")
 
 
+def test_sweep_decompose_row_above_the_search_cap(tmp_path, capsys):
+    # 25 non-uniform items: S = big_items falls back to the greedy value 3
+    path = tmp_path / "big.json"
+    path.write_text(instance_to_json(make_instance([1] * 24 + [2], [1] * 24 + [3],
+                                                   "5/2")), encoding="utf-8")
+    code = main(["sweep", "--family", "files", "--files", str(path), "--t", "2",
+                 "--modes", "decompose", "--json"])
+    assert code == 0
+    (row,) = json.loads(capsys.readouterr().out)
+    assert row["status"] == "exact", row["error"]
+
+
 def test_sweep_stdout_and_file_csv_agree(tmp_path, capsys):
     # a comma in the instance name must be quoted on both outputs
     path = tmp_path / "a,b.json"
@@ -397,3 +409,17 @@ def test_dense_sa_lp_over_the_cap_is_refused_up_front(tmp_path, capsys):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: dense SA LP at n=12, t=4 has 9680 rows")
+
+
+def test_dense_lasserre_over_the_cap_is_refused_up_front(tmp_path, capsys):
+    # non-uniform n = 12, t = 3: lasserre-value and the sweep both exit 2 at once
+    path = tmp_path / "skewed.json"
+    path.write_text(instance_to_json(make_instance([1] * 11 + ["3/2"], [1] * 12,
+                                                   "19/10")), encoding="utf-8")
+    for argv in (["lasserre-value", "--instance", str(path), "--t", "3"],
+                 ["sweep", "--family", "files", "--files", str(path), "--t", "1,3",
+                  "--modes", "lasserre"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: dense Lasserre blocks at n=12, t=3 hold "
+                              "224396510 floats")

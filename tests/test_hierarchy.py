@@ -4,9 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from liftlab import (Q, SetVector, Solution, all_constraints,
-                     certificate_alpha, certificate_membership,
-                     convex_combination, family_p_t,
+from liftlab import (Q, SetVector, Solution, certificate_alpha,
+                     certificate_membership, convex_combination, family_p_t,
                      family_powerset, integer_to_moment, lasserre_membership,
                      make_instance, mask_of, psd_exact, sa_gap_certificate,
                      sa_linear_constraints, sa_membership,
@@ -214,12 +213,18 @@ def _dense_oracle(y, inst, t, lasserre):
     every moment and localizing matrix, over all 2n+1 constraints, PSD."""
     if y[0] != 1 or not all(0 <= v <= 1 for v in y.values.values()):
         return False
-    # (g*y)_K = b y_K + sum_i a_i y_{K u i} on every K a localizer reads
-    reach = family_p_t(inst.n, (2 * t if lasserre else t) - 1).masks
-    shifted = [{m: g.offset * y[m] + sum((a * y[m | 1 << i] for i, a in
-                                          enumerate(g.coefficients)), Q(0))
+    # (g*y)_K = b y_K + sum_i a_i y_{K u i} on every K a localizer reads, for
+    # g = b + a.x: the capacity C - sum c_i x_i, then x_i and 1 - x_i
+    n = inst.n
+    unit = [tuple(Q(int(i == j)) for j in range(n)) for i in range(n)]
+    constraints = ([(inst.capacity, tuple(-c for c in inst.sizes))]
+                   + [(Q(0), e) for e in unit]
+                   + [(Q(1), tuple(-a for a in e)) for e in unit])
+    reach = family_p_t(n, (2 * t if lasserre else t) - 1).masks
+    shifted = [{m: b * y[m] + sum((a * y[m | 1 << i] for i, a in
+                                   enumerate(coefficients)), Q(0))
                 for m in reach}.__getitem__
-               for g in all_constraints(inst)]
+               for b, coefficients in constraints]
     if lasserre:
         fam_t, fam_tm1 = family_p_t(inst.n, t).masks, family_p_t(inst.n, t - 1).masks
         return (_psd_on(y.__getitem__, fam_t)

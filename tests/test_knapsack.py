@@ -3,8 +3,7 @@ import random
 
 import pytest
 
-from liftlab import (KnapsackInstance, Q, all_constraints, box_constraints,
-                     capacity_constraint, greedy, instance_from_json,
+from liftlab import (KnapsackInstance, Q, greedy, instance_from_json,
                      instance_to_json, lp_value, make_instance,
                      opt_solution, residual, uniform_gap_instance)
 
@@ -111,18 +110,6 @@ def test_lp_at_most_greedy_plus_max_value(rng):
     for _ in range(100):
         inst = rand_instance(rng, rng.randint(1, 8))
         assert lp_value(inst) <= greedy(inst)[1] + max(inst.values)
-
-
-def test_constraints_shapes_and_order():
-    inst = make_instance([1, 2], [1, 1], 2)
-    cons = all_constraints(inst)
-    assert len(cons) == 1 + 2 * inst.n
-    assert cons[0] == capacity_constraint(inst)
-    assert cons[1:] == box_constraints(inst)
-    # capacity row C - sum c_i x_i, then x_i >= 0, then 1 - x_i >= 0
-    assert (cons[0].coefficients, cons[0].offset) == ((Q(-1), Q(-2)), Q(2))
-    assert (cons[1].coefficients, cons[1].offset) == ((Q(1), Q(0)), Q(0))
-    assert (cons[1 + inst.n].coefficients, cons[1 + inst.n].offset) == ((Q(-1), Q(0)), Q(1))
 
 
 def test_residual_relaxes_standing_assumption():

@@ -2,7 +2,8 @@ import liftlab
 
 # names the package once exported and no longer has
 REMOVED = ("overflow_vanishing_check", "t_families", "project",
-           "supersets_within")
+           "supersets_within", "LinearConstraint", "capacity_constraint",
+           "box_constraints", "all_constraints")
 
 
 def test_every_export_resolves():

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from liftlab import (LPProblem, Q, certificate_alpha, family_p_t, greedy,
                      sa_linear_constraints, sa_lp_problem, sa_value,
                      simplex_exact, uniform_gap_instance)
 
-from liftlab.solvers import sa_lp_size
+from liftlab.solvers import (_barrier, _dense_problem, _forced_zero,
+                             _orbit_problem, check_lasserre_size, sa_lp_size)
 
 from conftest import rand_instance
 
@@ -160,12 +162,12 @@ def test_lasserre_reaches_the_hull_on_two_items():
 
 
 def test_lasserre_notes_an_estimate_stuck_at_the_integer_optimum():
-    # ten sweeps cannot reach the residual threshold, so no step succeeds
-    inst = uniform_gap_instance(4, "1/10")
+    # the level-2 value is OPT = 3 (see the test above): the barrier point,
+    # strictly inside, falls short of it, and the 0/1 start stands
+    inst = make_instance([1, 2], [3, 2], 2)
     est = lasserre_value(inst, 2, tol=0.5, max_sweeps=10)
-    assert est.bisections == 1
     assert est.value == float(opt_solution(inst)[1])
-    assert any("integer optimum 1" in n for n in est.notes)
+    assert any("integer optimum 3" in n for n in est.notes)
 
 
 def test_lasserre_starts_from_greedy_above_the_search_cap():
@@ -176,10 +178,11 @@ def test_lasserre_starts_from_greedy_above_the_search_cap():
     est = lasserre_value(inst, 1, tol=1e-3)
     assert greedy(inst)[1] == 3 and lp_value(inst) == Q(7, 2)
     assert 3 < est.value <= 3.5 + 1e-3
-    # greedy already attains the base LP here: no step, and the note says so
+    # greedy already attains the base LP here: the barrier point falls short
+    # of it, and the note says the greedy value stands
     flat = make_instance([1] * 24 + [2], [1] * 25, 2)
     est = lasserre_value(flat, 1, tol=1e-3)
-    assert est.bisections == 0 and est.value == 2.0
+    assert est.value == 2.0
     assert any("is the greedy value 2" in n for n in est.notes)
 
 
@@ -208,9 +211,9 @@ def test_lasserre_monotone_within_tolerance():
 
 
 def test_lasserre_output_satisfies_the_box_localizers():
-    # the optimizer projects onto the moment and capacity blocks only; the
-    # box localizers M_{P_1}(x_i*y) and M_{P_1}((1-x_i)*y) are congruences
-    # of the moment matrix and must come out PSD as well
+    # the barrier holds the moment and capacity blocks only; the box
+    # localizers M_{P_1}(x_i*y) and M_{P_1}((1-x_i)*y) are congruences of
+    # the moment matrix and must come out PSD as well
     inst = uniform_gap_instance(4, "1/10")
     est = lasserre_value(inst, 2, tol=0.1)
     assert est.value > 1.1  # the estimate leaves the integer optimum
@@ -236,25 +239,81 @@ def test_lasserre_validation():
         lasserre_value(uniform_gap_instance(30, "1/10"), 3)
     with pytest.raises(ValueError):
         lasserre_value(inst, 2, max_sweeps=0)
+    # n = 12, t = 3 off the uniform family: the dense blocks would hold
+    # |P_6| |P_3|^2 = 2510 * 299^2 floats; the uniform instance is solved
+    # on its orbit blocks
+    skewed = make_instance([1] * 11 + ["3/2"], [1] * 12, "19/10")
+    with pytest.raises(ValueError, match="hold 224396510 floats"):
+        lasserre_value(skewed, 3)
+    check_lasserre_size(uniform_gap_instance(12, "1/10"), 3)
 
 
-def test_lasserre_averages_exactly_the_uniform_instances():
+def test_lasserre_reduces_exactly_the_uniform_instances():
     # equal sizes and equal values make the instance invariant under item
     # permutations, whatever the common size and value are
-    averaged = "iterates averaged over item permutations"
+    reduced = "solved on Schrijver's blocks in the cardinality profile"
     cases = [(uniform_gap_instance(4, "1/10"), True),
              (make_instance([2, 2, 2], [3, 3, 3], 5), True),
              (make_instance([1, 1, 1], [1, 1, 2], 2), False),
              (make_instance([1, 2], [3, 2], 2), False)]
     for inst, uniform in cases:
         est = lasserre_value(inst, 1, tol=0.5, max_sweeps=300)
-        assert any(averaged in n for n in est.notes) == uniform, inst
+        assert any(reduced in n for n in est.notes) == uniform, inst
         if uniform:  # the point moved, and is constant on each cardinality
             assert est.value > float(opt_solution(inst)[1])
             by_size = {}
             for m, v in est.point.items():
                 by_size.setdefault(m.bit_count(), set()).add(v)
             assert all(len(vs) == 1 for vs in by_size.values()), by_size
+
+
+def _barrier_value(build, inst, t):
+    c, blocks, degree, _ = build(inst, t, family_p_t(inst.n, 2 * t).masks)
+    y, _, _, _ = _barrier(c, blocks, degree, 1e-8, 50000)
+    return float(c @ y)
+
+
+def test_orbit_and_dense_barriers_agree_on_uniform_instances():
+    # the two builders state one problem; at a tight gap their values meet
+    for eps in ("1/10", "1/4"):
+        for n in range(3, 7):
+            for t in range(1, 4):
+                inst = uniform_gap_instance(n, eps)
+                orbit = _barrier_value(_orbit_problem, inst, t)
+                dense = _barrier_value(_dense_problem, inst, t)
+                assert abs(orbit - dense) <= 1e-6, (eps, n, t, orbit, dense)
+
+
+def test_lasserre_uniform8_t2_reaches_81_over_65():
+    # the profile y_1 = 81/(65n), y_2 = 216/(325 n (n-1)), y_3 = 0, with
+    # y_4 rounded from the barrier point, passes lasserre_membership at
+    # n = 8: the value is at least 81/65, and the barrier reads it
+    est = lasserre_value(uniform_gap_instance(8, "1/10"), 2, tol=1e-6)
+    assert abs(est.value - 81 / 65) <= 1e-4, est.describe()
+
+
+def test_lasserre_forced_zeros_are_dropped():
+    # at t = 3 and C = 9/5 a pair costs 2 > C, so every y_K with |K| >= 2
+    # is 0 and the profile keeps y_1 alone; at t = 2 nothing is forced
+    inst = uniform_gap_instance(8, "1/10")
+    for t, free in ((3, 1), (2, 4)):
+        objective = _orbit_problem(inst, t, family_p_t(8, 2 * t).masks)[0]
+        assert len(objective) == free
+    # a single item filling the knapsack: cost {0} = C forces y_{0,1} = 0
+    edge = make_instance([2, 1], [1, 1], 2)
+    assert [m for m in family_p_t(2, 4).masks[1:]
+            if _forced_zero(edge, m, 2)] == [0b11]
+
+
+def test_lasserre_stall_case_returns_in_the_window():
+    # sizes 2..9, values 3..10, capacity 21 at a tight gap: a path that can
+    # stall near the optimum must still end in seconds inside [OPT, SA]
+    inst = make_instance(range(2, 10), range(3, 11), 21)
+    start = time.perf_counter()
+    est = lasserre_value(inst, 2, tol=1e-7)
+    assert time.perf_counter() - start <= 10
+    opt = float(opt_solution(inst)[1])
+    assert opt <= est.value <= float(sa_value(inst, 2)), est.describe()
 
 
 def test_sa_cap_counts_the_dense_lp(rng):
