@@ -3,12 +3,16 @@
 The exact test is symmetric Gaussian elimination with the zero-pivot
 row/column rule (leading principal minors alone do not characterize
 PSD). The floating-point side is backed by numpy's symmetric
-eigensolver behind the same contracts.
+eigensolver behind the same contracts. numpy is imported on first float
+use, inside each float helper, so the exact side never loads it.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # the annotations' np; the float helpers import it at run time
+    import numpy as np
 
 
 class EigenConvergenceError(RuntimeError):
@@ -54,6 +58,7 @@ def psd_exact_witness(rows):
 
 
 def _check_symmetric(mat: np.ndarray):
+    import numpy as np
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("matrix must be square")
@@ -63,6 +68,7 @@ def _check_symmetric(mat: np.ndarray):
 
 
 def min_eigenvalue(mat: np.ndarray) -> float:
+    import numpy as np
     sym = _check_symmetric(mat)
     try:
         return float(np.linalg.eigvalsh(sym)[0])
@@ -79,6 +85,7 @@ def psd_float(mat: np.ndarray, tol: float) -> bool:
 
 def project_psd(mat: np.ndarray) -> np.ndarray:
     """Nearest PSD matrix in Frobenius norm: clamp negative eigenvalues to 0."""
+    import numpy as np
     sym = _check_symmetric(mat)
     try:
         vals, vecs = np.linalg.eigh(sym)
@@ -93,4 +100,5 @@ def project_psd(mat: np.ndarray) -> np.ndarray:
 
 def matrix_to_float(rows) -> np.ndarray:
     """Convert a rational row list to a float numpy array."""
+    import numpy as np
     return np.array([[float(x) for x in r] for r in rows], dtype=float)

@@ -6,7 +6,8 @@ lasserre_value: damped Newton steps along the central path of a log-det
 barrier on the moment and capacity-localizer blocks (Schrijver's blocks on
 uniform instances); its result is the objective of a strictly feasible point, a
 numerical LOWER estimate of the Lasserre optimum (it can corroborate upper
-bounds, never refute them).
+bounds, never refute them). numpy is imported on first float use, inside the
+barrier path's functions, so the exact side never loads it.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .hierarchy import (_capacity_profile, _capacity_row, _disjoint_pairs,
                         _orbit_blocks, _signed_base)
@@ -185,6 +184,7 @@ def _trim(tensors) -> list:
     """Float coefficient tensors [A_0, A_1, ...] of blocks A_0 + sum_j y_j A_j,
     without empty blocks and the rows and columns zero in every A_j (those
     of forced zeros, which would hold a block singular)."""
+    import numpy as np
     out = []
     for a in tensors:
         a = np.asarray(a, dtype=float)
@@ -199,6 +199,7 @@ def _dense_problem(inst: KnapsackInstance, t: int, masks) -> tuple:
     j + 1 for variable j, -1 for a forced 0) of the level-t problem in the
     y_K, K in P_2t(V) = masks nonempty and not forced to 0; the blocks are
     M_{P_t}(y) and M_{P_t-1}(g*y), (g*y)_K = C y_K - sum_i c_i y_{K u i}."""
+    import numpy as np
     n = inst.n
     free = [m for m in masks[1:] if not _forced_zero(inst, m, t)]
     col = {m: j for j, m in enumerate([0] + free)}
@@ -231,6 +232,7 @@ def _orbit_problem(inst: KnapsackInstance, t: int, masks) -> tuple:
     2004). The blocks are Schrijver's (`hierarchy._orbit_blocks`) of the
     moment matrix and of the capacity localizer (`_capacity_profile`), built
     on unit profiles: the exact checker's code, in floats."""
+    import numpy as np
     n = inst.n
     top = min(2 * t, n)
     free = [m for m in range(1, top + 1)
@@ -257,6 +259,7 @@ def _barrier(c, blocks, degree, tol: float, max_steps: int):
     factors, Newton steps, stages, why the path ended early or None); a step
     the line search cannot shorten to a decrease of f_s ends the path.
     """
+    import numpy as np
     nu = sum(a.shape[1] for a in blocks) + 2 * len(c)
 
     def factors(y):  # Cholesky factors of the blocks, None outside the interior
@@ -358,6 +361,7 @@ def lasserre_value(inst: KnapsackInstance, t: int, tol: float = 1e-4,
     `opt_solution` refuses the instance (non-uniform, over 24 items),
     replaces it whenever that is worth more or no start point factors.
     """
+    import numpy as np
     if not 1 <= t <= inst.n:
         raise ValueError("level t must satisfy 1 <= t <= n")
     check_lasserre_size(inst, t)

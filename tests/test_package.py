@@ -1,4 +1,11 @@
+import json
+import os
+import subprocess
+import sys
+
 import liftlab
+from liftlab import instance_to_json, uniform_gap_instance
+from liftlab.cli import main
 
 # names the package once exported and no longer has
 REMOVED = ("overflow_vanishing_check", "t_families", "project",
@@ -18,3 +25,74 @@ def test_exports_are_unique():
 def test_removed_names_are_not_exported():
     assert not set(REMOVED) & set(liftlab.__all__)
     assert not any(hasattr(liftlab, name) for name in REMOVED)
+
+
+def _child_env():
+    # the child imports the same liftlab as this process, ahead of PYTHONPATH
+    src = os.path.dirname(os.path.dirname(liftlab.__file__))
+    path = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+
+
+# run in a fresh interpreter: argv[1] and argv[2] are the instance files of
+# uniform n=12 and n=8, argv[3] the path for the 6/5 point; prints the exit
+# codes and whether numpy was loaded after the exact commands and after the
+# float calls
+NUMPY_PROBE = """
+import contextlib, io, json, sys
+import liftlab, liftlab.cli
+from liftlab import (Q, SetVector, family_p_t, lasserre_value, psd_float,
+                     setvector_to_json, uniform_gap_instance)
+u12, u8, point = sys.argv[1:]
+level = [Q(1), Q(3, 20), Q(9, 1000), Q(0), Q(0)]
+with open(point, "w", encoding="utf-8") as fh:
+    fh.write(setvector_to_json(SetVector(8, {
+        m: level[m.bit_count()] for m in family_p_t(8, 4).masks})))
+commands = [
+    ["sa-cert", "--n", "20", "--eps", "1/10", "--t", "5", "--delta", "1/4"],
+    ["sa-value", "--instance", u12, "--t", "3"],
+    ["verify", "--instance", u8, "--point", point, "--mode", "lasserre",
+     "--t", "2"],
+    ["sweep", "--family", "uniform", "--n", "6", "--eps", "1/10", "--t", "2:3",
+     "--modes", "sa-cert,sa-lp,decompose"],
+]
+codes = []
+for argv in commands:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(liftlab.cli.main(argv))
+exact = "numpy" in sys.modules
+psd = psd_float([[2, 1], [1, 2]], 0.0)
+value = lasserre_value(uniform_gap_instance(4, "1/10"), 2).value
+print(json.dumps({"codes": codes, "numpy_after_exact": exact, "psd": psd,
+                  "value": value, "numpy_after_float": "numpy" in sys.modules}))
+"""
+
+
+def test_exact_commands_never_load_numpy(tmp_path):
+    files = []
+    for n in (12, 8):
+        path = tmp_path / f"u{n}.json"
+        path.write_text(instance_to_json(uniform_gap_instance(n, "1/10")),
+                        encoding="utf-8")
+        files.append(str(path))
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE, *files, str(tmp_path / "pt.json")],
+        capture_output=True, text=True, env=_child_env(), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["codes"] == [0, 0, 0, 0]
+    assert out["numpy_after_exact"] is False
+    assert out["psd"] is True and out["value"] > 1
+    assert out["numpy_after_float"] is True
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    argv = ["sa-cert", "--n", "8", "--eps", "1/10", "--t", "2", "--delta",
+            "1/4", "--json"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    proc = subprocess.run([sys.executable, "-m", "liftlab", *argv],
+                          capture_output=True, text=True, env=_child_env(),
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected
