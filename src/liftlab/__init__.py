@@ -25,12 +25,11 @@ from .rationals import ONE, Q, ZERO, rat, rat_str
 from .simplex import LPInfeasible, LPProblem, LPUnbounded, simplex_exact
 from .solvers import (LasserreEstimate, lasserre_value, sa_lp_problem,
                       sa_value)
-from .subsets import (MultilinearPoly, SetVector, SubsetFamily, char_poly,
-                      extend, family_p_t, family_powerset, indices_of,
-                      is_closed_under_shifting, mask_of, moment_matrix,
-                      poly_shift, restrict_reindex,
-                      setvector_from_json, setvector_to_json, shift, submasks,
-                      w_normalize, z_vector)
+from .subsets import (SetVector, SubsetFamily, extend, family_p_t,
+                      family_powerset, indices_of, is_closed_under_shifting,
+                      mask_of, moment_matrix, restrict_reindex,
+                      setvector_from_json, setvector_to_json, shift,
+                      signed_base, submasks, w_normalize, z_vector)
 from .sweep import ResultRow, SweepConfig, emit_csv, run_sweep
 
 __version__ = "0.1.0"
@@ -39,21 +38,21 @@ __all__ = [
     "CertificateCheck", "DecompositionResult", "EigenConvergenceError",
     "KnapsackInstance", "LPInfeasible", "LPProblem", "LPUnbounded",
     "LasserreEstimate", "LiftedInequality",
-    "MembershipReport", "MultilinearPoly", "ONE", "Q", "ResultRow",
+    "MembershipReport", "ONE", "Q", "ResultRow",
     "SetVector", "Solution", "SubsetFamily", "SweepConfig",
     "Violation", "ZERO", "big_items", "certificate_alpha",
-    "certificate_membership", "char_poly", "convex_combination", "decompose",
+    "certificate_membership", "convex_combination", "decompose",
     "emit_csv", "extend",
     "family_p_t", "family_powerset", "greedy", "indices_of",
     "instance_from_json", "instance_to_json", "integer_to_moment",
     "is_closed_under_shifting", "lasserre_membership", "lasserre_value",
     "lp_value", "make_instance", "mask_of", "matrix_to_float",
-    "min_eigenvalue", "moment_matrix", "opt_solution", "poly_shift",
+    "min_eigenvalue", "moment_matrix", "opt_solution",
     "project_psd", "psd_exact", "psd_float", "rat", "rat_str", "residual",
     "restrict_reindex", "run_sweep", "sa_gap_certificate",
     "sa_linear_constraints", "sa_lp_problem", "sa_membership", "sa_value",
-    "setvector_from_json", "setvector_to_json", "shift", "simplex_exact",
-    "submasks", "uniform_gap_instance",
+    "setvector_from_json", "setvector_to_json", "shift", "signed_base",
+    "simplex_exact", "submasks", "uniform_gap_instance",
     "vanishing_condition", "verify_decomposition", "verify_gap_certificate",
     "w_normalize", "z_vector",
 ]

@@ -201,7 +201,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--s", help="comma-separated item indices; defaults to "
-                               "the items with value above OPT/k")
+                               "the items with value above OPT/k (the greedy "
+                               "value stands in for OPT on non-uniform "
+                               "instances above 24 items)")
     _common_flags(p)
     p.set_defaults(func=_cmd_decompose)
 

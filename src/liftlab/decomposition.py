@@ -64,6 +64,8 @@ def decompose(y: SetVector, inst: KnapsackInstance, s_mask: int,
     check_split(inst, s_mask, k, t)
     if not vanishing_condition(y, s_mask, k):
         raise ValueError("vanishing condition |I n S| >= k => y_I = 0 fails")
+    if y.get(0) != 1:
+        raise ValueError("expected a normalized lifted point (y_0 = 1)")
     yext = extend(y)
     target = family_p_t(inst.n, 2 * (t - k))
     parts = []
@@ -78,11 +80,9 @@ def decompose(y: SetVector, inst: KnapsackInstance, s_mask: int,
                 "input is not Lasserre-feasible")
         if weight == 0:
             continue
-        parts.append((x_mask, weight, w_normalize(z, weight)))
+        parts.append((x_mask, weight, w_normalize(z)))
     if total != y.get(0, ZERO):
         raise ValueError("weights do not sum to y_0 (input support inconsistent)")
-    if y.get(0) != 1:
-        raise ValueError("expected a normalized lifted point (y_0 = 1)")
     return DecompositionResult(s_mask, k, t, tuple(parts))
 
 

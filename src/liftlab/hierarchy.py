@@ -18,7 +18,7 @@ from .knapsack import KnapsackInstance, Solution, uniform_gap_instance
 from .psd import psd_exact_witness
 from .rationals import Q, ZERO, ONE, rat, rat_str
 from .subsets import (SetVector, count_p_t, family_p_t, indices_of, mask_of,
-                      moment_matrix, submasks)
+                      moment_matrix, signed_base, submasks)
 
 
 @dataclass(frozen=True)
@@ -392,16 +392,6 @@ class LiftedInequality:
         return sum((c * y[m] for m, c in self.coeffs), ZERO)
 
 
-def _signed_base(i_mask: int, j_mask: int, extra_bit: int = 0) -> dict:
-    """Coefficients of sum_{L <= J} (-1)^|L| y_{I u L u extra}."""
-    out = {}
-    for l in submasks(j_mask):
-        m = i_mask | l | extra_bit
-        c = Q(-1 if l.bit_count() % 2 else 1)
-        out[m] = out.get(m, ZERO) + c
-    return out
-
-
 def _merge(into: dict, other: dict, scale):
     for m, c in other.items():
         into[m] = into.get(m, ZERO) + scale * c
@@ -430,9 +420,9 @@ def _disjoint_pairs(n: int, k: int):
 def _capacity_row(inst: KnapsackInstance, i_mask: int, j_mask: int) -> dict:
     """Lifted capacity row C * B(I, J) - sum_i c_i * B(I u i, J) >= 0,
     where B(I, J) = sum_{L <= J} (-1)^|L| y_{I u L}."""
-    cap = _merge({}, _signed_base(i_mask, j_mask), inst.capacity)
+    cap = _merge({}, signed_base(i_mask, j_mask), inst.capacity)
     for item in range(inst.n):
-        _merge(cap, _signed_base(i_mask, j_mask, 1 << item), -inst.sizes[item])
+        _merge(cap, signed_base(i_mask, j_mask, 1 << item), -inst.sizes[item])
     return cap
 
 
@@ -451,9 +441,9 @@ def sa_linear_constraints(inst: KnapsackInstance, t: int) -> list[LiftedInequali
         for i_mask, j_mask in _disjoint_pairs(n, total):
             pair = f"I={indices_of(i_mask)},J={indices_of(j_mask)}"
             out.append(_as_ineq(_capacity_row(inst, i_mask, j_mask), f"cap {pair}"))
-            base = _signed_base(i_mask, j_mask)
+            base = signed_base(i_mask, j_mask)
             for item in range(n):
-                lifted_i = _signed_base(i_mask, j_mask, 1 << item)
+                lifted_i = signed_base(i_mask, j_mask, 1 << item)
                 out.append(_as_ineq(lifted_i, f"lb i={item} {pair}"))
                 ub = dict(base)
                 _merge(ub, lifted_i, Q(-1))

@@ -17,12 +17,12 @@ import math
 from dataclasses import dataclass, field
 
 from .hierarchy import (_capacity_profile, _capacity_row, _disjoint_pairs,
-                        _orbit_blocks, _signed_base)
+                        _orbit_blocks)
 from .knapsack import KnapsackInstance, greedy, opt_solution
 from .psd import project_psd  # noqa: F401  unused here; perfbench/spans.py wraps it
 from .rationals import Q, ZERO, rat_str
 from .simplex import LPProblem, simplex_exact
-from .subsets import count_p_t, family_p_t, indices_of
+from .subsets import count_p_t, family_p_t, indices_of, signed_base
 
 # rows x variables of the dense SA LP (`sa_lp_size`). Measured on a 2-core
 # x86-64 box: n=12/t=3 (603,152) solves in 42 s, n=13/t=3 (980,200) in 148 s
@@ -58,7 +58,7 @@ def sa_lp_problem(inst: KnapsackInstance, t: int) -> LPProblem:
     for i_mask, j_mask in _disjoint_pairs(n, min(t - 1, n)):
         add_geq0(_capacity_row(inst, i_mask, j_mask))
     for i_mask, j_mask in _disjoint_pairs(n, min(t, n)):
-        add_geq0(_signed_base(i_mask, j_mask))
+        add_geq0(signed_base(i_mask, j_mask))
     return problem
 
 

@@ -2,14 +2,15 @@
 
 Subsets of the ground set V = {0, ..., n-1} are encoded as int bitmasks
 (n <= 63). Dense operations that enumerate the full power set are capped
-at n <= 20.
+at n <= 20. `signed_base` is the one coefficient form of the signed sum
+B(I, J) = sum_{L <= J} (-1)^|L| y_{I u L} (Laurent 2003); B(X, S\\X) is
+the indicator polynomial of assignment X on S, and z^X sums y' over it.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
 from .rationals import Q, ZERO, ONE, rat, rat_str
 
@@ -171,30 +172,16 @@ def restrict_reindex(y: SetVector, keep_mask: int) -> SetVector:
     return SetVector(len(keep), values, y.extended)
 
 
-@dataclass(frozen=True)
-class MultilinearPoly:
-    """Multilinear polynomial sum_I a_I prod_{i in I} x_i, as coeffs per bitmask."""
-
-    coeffs: dict[int, "Q"]
-
-    def __call__(self, x_mask: int):
-        # evaluate at a 0/1 point given by a bitmask
-        total = ZERO
-        for m, a in self.coeffs.items():
-            if m & ~x_mask == 0:
-                total += a
-        return total
-
-
-def char_poly(s_mask: int, x_mask: int) -> MultilinearPoly:
-    """Indicator polynomial of assignment X on S: prod_{i in X} x_i prod_{j in S\\X} (1-x_j)."""
-    if x_mask & ~s_mask:
-        raise ValueError("X must be a subset of S")
-    coeffs = {}
-    for extra in submasks(s_mask & ~x_mask):
-        sign = -1 if extra.bit_count() % 2 else 1
-        coeffs[x_mask | extra] = Q(sign)
-    return MultilinearPoly(coeffs)
+def signed_base(i_mask: int, j_mask: int, extra_bit: int = 0) -> dict:
+    """B(I, J) = sum_{L <= J} (-1)^|L| y_{I u L u extra} as {mask: coefficient},
+    the one coefficient form of B(I, J). B(X, S\\X) is the indicator
+    polynomial prod_{i in X} x_i prod_{j in S\\X} (1 - x_j) of X on S."""
+    out = {}
+    for l in submasks(j_mask):
+        m = i_mask | l | extra_bit
+        c = Q(-1 if l.bit_count() % 2 else 1)
+        out[m] = out.get(m, ZERO) + c
+    return out
 
 
 def shift(x: SetVector, y: SetVector) -> SetVector:
@@ -218,23 +205,9 @@ def shift(x: SetVector, y: SetVector) -> SetVector:
     return SetVector(n, values, extended=True)
 
 
-def poly_shift(p: MultilinearPoly, y: SetVector, masks) -> SetVector:
-    """(P*y)_I = sum_J a_J y_{I u J}, on the given index masks.
-
-    Out-of-support reads follow y's extension flag.
-    """
-    items = [(j, a) for j, a in p.coeffs.items() if a != 0]
-    values = {}
-    for i in masks:
-        acc = ZERO
-        for j, a in items:
-            acc += a * y[i | j]
-        values[i] = acc
-    return SetVector(y.n, values)
-
-
 def z_vector(yext: SetVector, s_mask: int, x_mask: int, masks=None) -> SetVector:
-    """z^X = P^X * y': z^X_I = sum_{X <= J <= S} (-1)^{|J\\X|} y'_{I u J}."""
+    """z^X = P^X * y' on `masks` (default: the full power set): z^X_I =
+    sum c_m y'_{I u m} over {m: c_m} = signed_base(X, S\\X)."""
     if x_mask & ~s_mask:
         raise ValueError("X must be a subset of S")
     if not yext.extended:
@@ -243,13 +216,19 @@ def z_vector(yext: SetVector, s_mask: int, x_mask: int, masks=None) -> SetVector
         if yext.n > MAX_DENSE:
             raise ValueError("default full-power-set support capped at n <= 20")
         masks = range(1 << yext.n)
-    return poly_shift(char_poly(s_mask, x_mask), yext, masks)
+    items = signed_base(x_mask, s_mask & ~x_mask).items()
+    values = {}
+    for i in masks:
+        acc = ZERO
+        for m, c in items:
+            acc += c * yext[i | m]
+        values[i] = acc
+    return SetVector(yext.n, values)
 
 
-def w_normalize(z: SetVector, z_empty) -> SetVector:
+def w_normalize(z: SetVector) -> SetVector:
     """z / z_0 when z_0 != 0, the all-zero vector otherwise."""
-    if z_empty != z.get(0):
-        raise ValueError("z_empty does not match z's entry at the empty set")
+    z_empty = z.get(0)
     if z_empty == 0:
         return SetVector(z.n, {m: ZERO for m in z.values}, z.extended)
     return SetVector(z.n, {m: v / z_empty for m, v in z.values.items()}, z.extended)

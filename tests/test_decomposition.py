@@ -98,6 +98,13 @@ def test_decompose_guards():
     bad = integer_to_moment(inst, Solution(0b0001), 6)
     with pytest.raises(ValueError):
         decompose(bad, inst, 0b0011, 1, 3)  # vanishing condition fails
+    with pytest.raises(ValueError, match=r"\|S\| capped at 16"):
+        decompose(y, inst, (1 << 17) - 1, 1, 3)
+    # twice the moment vector of {2}: it vanishes on S = {0, 1}, y_0 = 2
+    doubled = integer_to_moment(inst, Solution(0b0100), 6)
+    doubled = SetVector(4, {m: 2 * v for m, v in doubled.values.items()})
+    with pytest.raises(ValueError, match="expected a normalized lifted point"):
+        decompose(doubled, inst, 0b0011, 1, 3)
 
 
 def test_negative_weight_signals_infeasible_input():

@@ -84,6 +84,10 @@ def test_membership_argument_validation():
     y = integer_to_moment(inst, Solution(0), 2)
     with pytest.raises(ValueError):
         sa_membership(y, inst, 0)
+    with pytest.raises(ValueError, match="ground-set size mismatch"):
+        sa_membership(SetVector(3, {0: Q(1)}), inst, 1)
+    with pytest.raises(ValueError, match="level t must be >= 1"):
+        sa_linear_constraints(inst, 0)
     with pytest.raises(ValueError):
         lasserre_membership(SetVector(2, {0: Q(1)}), inst, 1)
     # as many entries as P_1(V), but [1] is missing and [0, 1] is above it
@@ -102,6 +106,12 @@ def test_range_violations_reported():
     bad_unit = SetVector(2, {0: Q(1, 2), 0b01: Q(0), 0b10: Q(0)})
     report = sa_membership(bad_unit, inst, 1)
     assert any(v.kind == "y_empty" for v in report.violations)
+    # a long report lists 20 violations and counts the rest
+    many = MembershipReport()
+    for i in range(23):
+        many.add("range", (i,), Q(2))
+    lines = many.describe().splitlines()
+    assert len(lines) == 22 and lines[-1] == "  ... 3 more"
 
 
 def test_range_check_reads_only_the_level():

@@ -30,6 +30,8 @@ def test_constructor_validation():
         make_instance([1], [-1], 1)
     with pytest.raises(ValueError):
         make_instance([1], [1], 0)
+    with pytest.raises(ValueError, match="capacity must be non-negative"):
+        KnapsackInstance((Q(1),), (Q(1),), Q(-1))
     with pytest.raises(ValueError):
         make_instance([3], [1], 2)  # item larger than the capacity
     with pytest.raises(TypeError):

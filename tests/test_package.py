@@ -10,7 +10,8 @@ from liftlab.cli import main
 # names the package once exported and no longer has
 REMOVED = ("overflow_vanishing_check", "t_families", "project",
            "supersets_within", "LinearConstraint", "capacity_constraint",
-           "box_constraints", "all_constraints")
+           "box_constraints", "all_constraints", "MultilinearPoly", "char_poly",
+           "poly_shift")
 
 
 def test_every_export_resolves():

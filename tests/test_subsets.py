@@ -4,13 +4,12 @@ import random
 
 import pytest
 
-from liftlab import (Q, SetVector, SubsetFamily, char_poly, extend,
-                     family_p_t, family_powerset, indices_of,
-                     is_closed_under_shifting, mask_of, moment_matrix,
-                     poly_shift, restrict_reindex,
-                     setvector_from_json, setvector_to_json, shift, submasks,
-                     w_normalize, z_vector)
-from liftlab.subsets import MultilinearPoly, canon_key
+from liftlab import (Q, SetVector, SubsetFamily, extend, family_p_t,
+                     family_powerset, indices_of, is_closed_under_shifting,
+                     mask_of, moment_matrix, restrict_reindex,
+                     setvector_from_json, setvector_to_json, shift,
+                     signed_base, submasks, w_normalize, z_vector)
+from liftlab.subsets import canon_key
 
 from conftest import rand_setvector
 
@@ -76,20 +75,22 @@ def test_project_and_restrict_reindex():
     assert r[0b11] == y[0b101]
 
 
-def test_char_poly_is_the_assignment_indicator():
-    # P^X(point) = 1 exactly when the point agrees with X on S
+def test_signed_base_is_the_assignment_indicator():
+    # B(X, S\X) as a polynomial: at a 0/1 point, the coefficients of the
+    # monomials inside the point sum to 1 exactly when it agrees with X on S
     n = 4
     for s in range(1 << n):
         for x in submasks(s):
-            p = char_poly(s, x)
+            coeffs = signed_base(x, s & ~x)
             for point in range(1 << n):
                 expected = Q(1) if point & s == x else Q(0)
-                assert p(point) == expected
+                assert sum((c for m, c in coeffs.items() if m & ~point == 0),
+                           Q(0)) == expected
 
 
-def test_char_poly_requires_x_inside_s():
-    with pytest.raises(ValueError):
-        char_poly(0b01, 0b10)
+def test_z_vector_requires_x_inside_s():
+    with pytest.raises(ValueError, match="X must be a subset of S"):
+        z_vector(SetVector(2, {}, extended=True), 0b01, 0b10)
 
 
 def test_shift_by_empty_set_indicator_is_identity(rng):
@@ -105,15 +106,13 @@ def test_shift_commutativity_small(rng):
         assert shift(x, shift(y, z)) == shift(y, shift(x, z))
 
 
-def test_poly_shift_matches_dense_shift(rng):
+def test_z_vector_matches_dense_shift(rng):
     n = 3
     y = rand_setvector(rng, n)
-    p = MultilinearPoly({0b001: Q(2), 0b110: Q(-1, 3), 0: Q(1)})
-    as_vector = SetVector(n, {m: p.coeffs.get(m, Q(0)) for m in range(1 << n)},
-                          extended=True)
-    dense = shift(as_vector, y)
-    sparse = poly_shift(p, y, masks=range(1 << n))
-    assert all(dense[m] == sparse[m] for m in range(1 << n))
+    for s in range(1 << n):
+        for x in submasks(s):
+            as_vector = SetVector(n, signed_base(x, s & ~x), extended=True)
+            assert shift(as_vector, y) == z_vector(y, s, x)
 
 
 def test_z_vector_matches_definition(rng):
@@ -135,12 +134,10 @@ def test_z_vector_requires_extension():
 
 def test_w_normalize():
     z = SetVector(2, {0: Q(1, 2), 0b01: Q(1, 4)})
-    w = w_normalize(z, Q(1, 2))
+    w = w_normalize(z)
     assert w[0] == 1 and w[0b01] == Q(1, 2)
-    zero = w_normalize(SetVector(2, {0: Q(0), 0b01: Q(0)}), Q(0))
+    zero = w_normalize(SetVector(2, {0: Q(0), 0b01: Q(0)}))
     assert zero[0b01] == 0
-    with pytest.raises(ValueError):
-        w_normalize(z, Q(1, 3))
 
 
 def test_moment_matrix_entries_and_symmetry(rng):
@@ -170,6 +167,19 @@ def test_setvector_json_rejects_out_of_range():
 def test_ground_set_cap():
     with pytest.raises(ValueError):
         SetVector(64, {})
+    with pytest.raises(ValueError, match="ground set too large"):
+        family_p_t(64, 1)
     with pytest.raises(ValueError):
         shift(rand_setvector(random.Random(0), 2),
               SetVector(3, {}, extended=True))
+    big = SetVector(21, {}, extended=True)
+    with pytest.raises(ValueError, match="dense shift capped"):
+        shift(big, big)
+    with pytest.raises(ValueError, match="default full-power-set support"):
+        z_vector(big, 0b1, 0b1)
+    full = rand_setvector(random.Random(0), 2)
+    partial = SetVector(2, {0: Q(1)})
+    with pytest.raises(ValueError, match="x must be extended"):
+        shift(partial, full)
+    with pytest.raises(ValueError, match="y must be extended"):
+        shift(full, partial)

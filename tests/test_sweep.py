@@ -46,6 +46,9 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SweepConfig(family="uniform", n_values=(4,), eps_values=("1/10",),
                     t_values=(0,)).validate()
+    with pytest.raises(ValueError, match="no modes requested"):
+        SweepConfig(family="uniform", n_values=(4,), eps_values=("1/10",),
+                    t_values=(1,), modes=()).validate()
     for tol in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             SweepConfig(family="uniform", n_values=(4,), eps_values=("1/10",),
@@ -129,6 +132,11 @@ def test_decompose_mode_counts_parts():
     assert rows[0].status == "exact"
     assert int(rows[0].value) >= 1
     assert rows[0].ratio == ""
+    cfg = SweepConfig(family="uniform", n_values=(4,), eps_values=("1/10",),
+                      t_values=(1,), modes=("decompose",))
+    row, = run_sweep(cfg)
+    assert (row.status, row.value) == ("error", "")
+    assert row.error == "ValueError: decompose mode needs t >= 2"
 
 
 def test_per_row_errors_do_not_abort(tmp_path):
