@@ -58,8 +58,11 @@ def decompose(y: SetVector, inst: KnapsackInstance, s_mask: int,
     """Split y (in La_t, vanishing on |I n S| >= k) into sum of z^X_0 * w^X.
 
     Exact-rational inputs only. Guarantees: weights positive and summing
-    to 1, and sum weight * w^X reproducing y on P_{2t-2k}(V). A negative
-    weight signals the input was not Lasserre-feasible and is an error.
+    to 1, and sum weight * w^X reproducing y on P_{2t-2k}(V). The weights
+    z^X_0 sum to y_0 identically, since the indicator polynomials of the
+    X <= S sum to 1, so with y_0 = 1 checked first they sum to 1 with no
+    further test. A negative weight signals the input was not
+    Lasserre-feasible and is an error.
     """
     check_split(inst, s_mask, k, t)
     if not vanishing_condition(y, s_mask, k):
@@ -69,11 +72,9 @@ def decompose(y: SetVector, inst: KnapsackInstance, s_mask: int,
     yext = extend(y)
     target = family_p_t(inst.n, 2 * (t - k))
     parts = []
-    total = ZERO
     for x_mask in sorted(submasks(s_mask)):
         z = z_vector(yext, s_mask, x_mask, masks=target.masks)
         weight = z[0]
-        total += weight
         if weight < 0:
             raise ValueError(
                 f"negative weight {weight} for X={indices_of(x_mask)}: "
@@ -81,8 +82,6 @@ def decompose(y: SetVector, inst: KnapsackInstance, s_mask: int,
         if weight == 0:
             continue
         parts.append((x_mask, weight, w_normalize(z)))
-    if total != y.get(0, ZERO):
-        raise ValueError("weights do not sum to y_0 (input support inconsistent)")
     return DecompositionResult(s_mask, k, t, tuple(parts))
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .knapsack import KnapsackInstance, Solution, uniform_gap_instance
 from .psd import psd_exact_witness
-from .rationals import Q, ZERO, ONE, rat, rat_str
+from .rationals import Q, ZERO, ONE, integer_row, rat, rat_str
 from .subsets import (SetVector, count_p_t, family_p_t, indices_of, mask_of,
                       moment_matrix, signed_base, submasks)
 
@@ -89,18 +89,34 @@ def convex_combination(parts) -> SetVector:
     return SetVector(n, values)
 
 
-def _capacity_shift(y: SetVector, inst: KnapsackInstance):
+def _capacity_shift(y: SetVector, capacity, sizes):
     """Memoized entries of g*y for the capacity g: C y_K - sum_i c_i y_{K u i}."""
-    sizes = [(1 << i, c) for i, c in enumerate(inst.sizes)]
+    bits = [(1 << i, c) for i, c in enumerate(sizes)]
     memo = {}
 
     def value(mask: int):
         v = memo.get(mask)
         if v is None:
-            v = memo[mask] = inst.capacity * y[mask] - sum(
-                (c * y[mask | bit] for bit, c in sizes), ZERO)
+            v = memo[mask] = capacity * y[mask] - sum(
+                c * y[mask | bit] for bit, c in bits)
         return v
     return value
+
+
+def _on_integers(y: SetVector, inst: KnapsackInstance):
+    """y and its capacity shift over positive common denominators, on ints.
+
+    Returns Y = L_y * y, L_y the lcm of y's denominators; the memoized
+    capacity shift of Y for the capacity scaled by the lcm L_c of the
+    denominators of C and the sizes; and the divisors L_y and L_y * L_c
+    that take a value of either back to y. Positive scaling keeps every
+    sign and every PSD verdict, and scales every Moebius difference and
+    every pivot by the same factor.
+    """
+    nums, l_y = integer_row(list(y.values.values()))
+    ints = SetVector(y.n, dict(zip(y.values, nums)), y.extended)
+    (capacity, *sizes), l_c = integer_row([inst.capacity, *inst.sizes])
+    return ints, _capacity_shift(ints, capacity, sizes), l_y, l_y * l_c
 
 
 def _mobius_min(values, u_mask: int):
@@ -212,15 +228,17 @@ def _sa_orbit_tests(profile, inst: KnapsackInstance, t: int,
 
 def _sa_family_tests(y: SetVector, inst: KnapsackInstance, t: int,
                      report: MembershipReport):
-    """The Moebius sign tests of sa_membership, one per |U| = t and |W| = t-1."""
-    capacity = _capacity_shift(y, inst)
-    for kind, values, size in (("moment M_P(U)", y.__getitem__, t),
-                               ("constraint[0] M_P(W)(g*y)", capacity, t - 1)):
+    """The Moebius sign tests of sa_membership, one per |U| = t and |W| = t-1,
+    run on `_on_integers`."""
+    ints, capacity, l_y, l_g = _on_integers(y, inst)
+    for kind, values, size, scale in (
+            ("moment M_P(U)", ints.__getitem__, t, l_y),
+            ("constraint[0] M_P(W)(g*y)", capacity, t - 1, l_g)):
         for combo in itertools.combinations(range(inst.n), size):
             low = _mobius_min(values, mask_of(combo))
             report.checked += 1
             if low < 0:
-                report.add(kind, combo, low)
+                report.add(kind, combo, Q(low, scale))
 
 
 def _level(y: SetVector, inst: KnapsackInstance, t: int, depth: int, what: str):
@@ -329,19 +347,20 @@ def _lasserre_orbit_tests(profile, inst: KnapsackInstance, t: int,
 
 def _lasserre_dense_tests(y: SetVector, inst: KnapsackInstance, t: int,
                           report: MembershipReport):
-    """The two PSD tests of lasserre_membership on the dense matrices."""
+    """The two PSD tests of lasserre_membership on the dense matrices, built
+    and eliminated on `_on_integers`."""
     n = inst.n
-    ok, bad = psd_exact_witness(moment_matrix(y, family_p_t(n, t)))
+    ints, shifted, l_y, l_g = _on_integers(y, inst)
+    ok, bad = psd_exact_witness(moment_matrix(ints, family_p_t(n, t)))
     report.checked += 1
     if not ok:
-        report.add("moment M_Pt(V)", (t,), bad)
+        report.add("moment M_Pt(V)", (t,), bad / l_y)
 
     fam = family_p_t(n, t - 1).masks
-    shifted = _capacity_shift(y, inst)
     ok, bad = psd_exact_witness([[shifted(a | b) for b in fam] for a in fam])
     report.checked += 1
     if not ok:
-        report.add("constraint[0] M_Pt-1(V)(g*y)", (t - 1,), bad)
+        report.add("constraint[0] M_Pt-1(V)(g*y)", (t - 1,), bad / l_g)
 
 
 def lasserre_membership(y: SetVector, inst: KnapsackInstance, t: int) -> MembershipReport:

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .rationals import Q, ZERO, rat, rat_str
-from .subsets import indices_of, mask_of
+from .subsets import indices_of
 
 MAX_BRUTEFORCE = 24
 

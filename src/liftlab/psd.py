@@ -9,10 +9,17 @@ use, inside each float helper, so the exact side never loads it.
 
 from __future__ import annotations
 
+import math
+from operator import attrgetter
 from typing import TYPE_CHECKING
+
+from .rationals import Q
 
 if TYPE_CHECKING:  # the annotations' np; the float helpers import it at run time
     import numpy as np
+
+
+_numerator, _denominator = attrgetter("numerator"), attrgetter("denominator")
 
 
 class EigenConvergenceError(RuntimeError):
@@ -31,29 +38,49 @@ def psd_exact(rows) -> bool:
 
 
 def psd_exact_witness(rows):
-    """Like psd_exact but also returns the offending value on failure."""
-    d = len(rows)
-    # only the upper triangle is maintained; the Schur complement stays symmetric
-    m = [list(r) for r in rows]
-    for i in range(d):
-        row = m[i]
-        p = row[i]
+    """Like psd_exact but also returns the offending value on failure.
+
+    Fraction-free: the entries are scaled once by the lcm of their
+    denominators, a positive scaling that keeps the verdict. Row i of the
+    Schur complement then holds integer numerators over its own positive
+    denominator den_i, and only its upper part, columns i.. of the
+    matrix, is kept (the complement stays symmetric). Pivoting row i, of
+    pivot p, into row j, whose column-j entry in row i is f, rewrites the
+    row j as a * row_j - b * row_i over den_j * a, with a = p * den_i and
+    b = f * den_j both divided by their gcd, then divides the row by the
+    gcd of its numerators and denominator. The pivots, the zero-pivot rule
+    and the offending value are those of elimination on rationals.
+    """
+    upper = [r[i:] for i, r in enumerate(rows)]
+    scale = math.lcm(*set().union(*(map(_denominator, r) for r in upper)))
+    if scale == 1:
+        tails = [list(map(_numerator, r)) for r in upper]
+    else:
+        tails = [[v.numerator * (scale // v.denominator) for v in r] for r in upper]
+    dens = [1] * len(tails)
+    for i, row in enumerate(tails):
+        p, den = row[0], dens[i]
         if p < 0:
-            return False, p
+            return False, Q(p, den * scale)
         if p == 0:
-            for j in range(i + 1, d):
-                if row[j] != 0:
-                    return False, row[j]
+            for f in row:
+                if f != 0:
+                    return False, Q(f, den * scale)
             continue
-        for j in range(i + 1, d):
-            f = row[j]
+        for off in range(1, len(row)):
+            f = row[off]
             if f == 0:
                 continue
-            f = f / p
-            rj = m[j]
-            for k in range(j, d):
-                if row[k] != 0:
-                    rj[k] = rj[k] - f * row[k]
+            j = i + off
+            a, b = p * den, f * dens[j]
+            g = math.gcd(a, b)
+            a, b = a // g, b // g
+            new = [a * u - b * v for u, v in zip(tails[j], row[off:])]
+            dj = dens[j] * a
+            g = math.gcd(dj, *new)
+            if g > 1:
+                new, dj = [u // g for u in new], dj // g
+            tails[j], dens[j] = new, dj
     return True, None
 
 

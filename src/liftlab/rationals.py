@@ -1,14 +1,17 @@
 """Exact rational arithmetic helpers.
 
-All algebra in this package is exact. gmpy2.mpq is used when available
-(roughly an order of magnitude faster than fractions.Fraction in the
-PSD hot loops; the simplex works on integer rows and does not depend
-on it); otherwise we fall back to the stdlib type. Both types
-interoperate and compare equal, so callers may pass either.
+All algebra in this package is exact. gmpy2.mpq is used when available,
+otherwise the stdlib fractions.Fraction. Both types interoperate and
+compare equal, so callers may pass either. The hot loops depend on
+neither: they clear denominators once and run on Python ints. The
+simplex and the PSD elimination keep integer rows, each over its own
+positive denominator; the dense membership checks scale the point and
+the capacity constraint by their common denominators (`integer_row`).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 try:
@@ -35,3 +38,9 @@ def rat_str(value) -> str:
     """Serialize a rational as "p" or "p/q"."""
     num, den = value.numerator, value.denominator
     return str(num) if den == 1 else f"{num}/{den}"
+
+
+def integer_row(values):
+    """Rationals as (integer numerators, their lcm denominator), in order."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den

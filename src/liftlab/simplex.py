@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .rationals import Q, ZERO, rat
+from .rationals import Q, ZERO, integer_row, rat
 
 
 class LPInfeasible(Exception):
@@ -71,12 +71,6 @@ def _reduced(row, d):
 def _combine(x, a, y, b, d):
     """The row (a*x + b*y) / d in lowest terms, as (numerators, denominator)."""
     return _reduced([a * u + b * v for u, v in zip(x, y)], d)
-
-
-def _integer_row(values):
-    """Rationals as (integer numerators, common positive denominator)."""
-    den = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 class _Dictionary:
@@ -177,7 +171,7 @@ def _build_rows(problem: LPProblem, var_index):
             for v, c in cf.items():
                 row[var_index[v]] += sign * rat(c)
             # dictionary form keeps -A, with b last
-            numerators, d = _integer_row([-x for x in row] + [sign * rat(r)])
+            numerators, d = integer_row([-x for x in row] + [sign * rat(r)])
             rows.append(numerators)
             den.append(d)
     return rows, den

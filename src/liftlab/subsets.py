@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 
-from .rationals import Q, ZERO, ONE, rat, rat_str
+from .rationals import Q, ZERO, rat, rat_str
 
 MAX_GROUND = 63
 MAX_DENSE = 20

@@ -8,9 +8,9 @@ from liftlab import (Q, DecompositionResult, SetVector, Solution, big_items,
                      lp_value, make_instance, mask_of, opt_solution, residual,
                      uniform_gap_instance, vanishing_condition,
                      verify_decomposition)
-from liftlab.subsets import indices_of
+from liftlab.subsets import indices_of, submasks, z_vector
 
-from conftest import mixture_moment, point_mixture, rand_instance
+from conftest import mixture_moment, point_mixture, rand_instance, rand_setvector
 
 
 def constrained_mixture(rng, inst, s_mask, k, depth):
@@ -105,6 +105,18 @@ def test_decompose_guards():
     doubled = SetVector(4, {m: 2 * v for m, v in doubled.values.items()})
     with pytest.raises(ValueError, match="expected a normalized lifted point"):
         decompose(doubled, inst, 0b0011, 1, 3)
+
+
+def test_weights_sum_to_y0_identically():
+    # the indicator polynomials of the X <= S sum to 1, so the z^X_0 sum to
+    # y_0 whatever y holds: decompose needs no test of the sum
+    rng = random.Random(5)
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        y = rand_setvector(rng, n)
+        s_mask = rng.randrange(1 << n)
+        total = sum(z_vector(y, s_mask, x, masks=[0])[0] for x in submasks(s_mask))
+        assert total == y[0]
 
 
 def test_negative_weight_signals_infeasible_input():

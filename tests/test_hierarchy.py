@@ -1,20 +1,24 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from liftlab import (Q, SetVector, Solution, certificate_alpha,
                      certificate_membership, convex_combination, family_p_t,
-                     family_powerset, integer_to_moment, lasserre_membership,
-                     make_instance, mask_of, psd_exact, sa_gap_certificate,
-                     sa_linear_constraints, sa_membership,
+                     family_powerset, instance_to_json, integer_to_moment,
+                     lasserre_membership, make_instance, mask_of,
+                     moment_matrix, psd_exact, sa_gap_certificate,
+                     sa_linear_constraints, sa_membership, setvector_to_json,
                      uniform_gap_instance, verify_gap_certificate)
+from liftlab.cli import main
 from liftlab.hierarchy import (MembershipReport, _lasserre_membership_dense,
                                _lasserre_orbit_tests, _orbit_blocks,
                                _sa_membership_dense)
 
 from conftest import mixture_moment, point_mixture, rand_instance
+from test_psd import fraction_witness
 
 
 def feasible_points(inst):
@@ -298,6 +302,84 @@ def test_sa_margin_is_the_most_negative_moebius_difference():
     report = sa_membership(y, inst, 2)
     moment = [v for v in report.violations if v.kind == "moment M_P(U)"]
     assert [(v.witness, v.margin) for v in moment] == [((0, 1), Q(-1, 5))]
+
+
+# a point on P_4 of 4 items whose entries have denominators 3 and 7, and an
+# instance with capacity 19/10 and sizes 1, 3/2, 1/2, 4/5: both dense checks
+# run on ints scaled by 21 and 10 and must report the unscaled margins
+MARGIN_POINT = {(): "1", (0,): "6/7", (1,): "2/3", (2,): "6/7", (3,): "1",
+                (0, 1): "3/7", (0, 2): "2/3", (0, 3): "0", (1, 2): "2/7",
+                (1, 3): "1/7", (2, 3): "2/3", (0, 1, 2): "2/7",
+                (0, 1, 3): "1/3", (0, 2, 3): "1/7", (1, 2, 3): "2/3",
+                (0, 1, 2, 3): "1/7"}
+MARGIN_LINES = {
+    "sa": ["rejected (10 violations / 22 checks)",
+           "  moment M_P(U) at [0, 1] (margin -2/21)",
+           "  moment M_P(U) at [0, 2] (margin -1/21)",
+           "  moment M_P(U) at [0, 3] (margin -6/7)",
+           "  moment M_P(U) at [1, 2] (margin -5/21)",
+           "  moment M_P(U) at [1, 3] (margin -11/21)",
+           "  moment M_P(U) at [2, 3] (margin -4/21)",
+           "  constraint[0] M_P(W)(g*y) at [0] (margin -103/105)",
+           "  constraint[0] M_P(W)(g*y) at [1] (margin -23/30)",
+           "  constraint[0] M_P(W)(g*y) at [2] (margin -53/70)",
+           "  constraint[0] M_P(W)(g*y) at [3] (margin -73/42)"],
+    "lasserre": ["rejected (2 violations / 19 checks)",
+                 "  moment M_Pt(V) at [2] (margin -3062/1323)",
+                 "  constraint[0] M_Pt-1(V)(g*y) at [1] (margin -83/70)"],
+}
+
+
+def _margin_case():
+    inst = make_instance(["1", "3/2", "1/2", "4/5"], [3, 4, 2, 3], "19/10")
+    y = SetVector(4, {mask_of(k): Fraction(v) for k, v in MARGIN_POINT.items()})
+    return inst, y
+
+
+def test_dense_margins_are_the_unscaled_values(tmp_path, capsys):
+    inst, y = _margin_case()
+    n, t = inst.n, 2
+
+    def capacity(mask):  # (g*y)_K = C y_K - sum_i c_i y_{K u i}, on Fractions
+        return inst.capacity * y[mask] - sum(
+            (c * y[mask | 1 << i] for i, c in enumerate(inst.sizes)), Fraction(0))
+
+    def low_moebius(values, combo):  # min over I <= U of B(I, U\I)
+        u = mask_of(combo)
+        return min(sum((-1) ** l.bit_count() * values(i | l)
+                       for l in range(1 << n) if l & ~(u & ~i) == 0)
+                   for i in range(1 << n) if i & ~u == 0)
+
+    want = []
+    for kind, values, size in (("moment M_P(U)", y.__getitem__, t),
+                               ("constraint[0] M_P(W)(g*y)", capacity, t - 1)):
+        for combo in itertools.combinations(range(n), size):
+            low = low_moebius(values, combo)
+            if low < 0:
+                want.append((kind, combo, low))
+    report = sa_membership(y, inst, t)
+    assert not report.reduced
+    assert [(v.kind, v.witness, v.margin) for v in report.violations] == want
+    assert {kind for kind, _, _ in want} == {"moment M_P(U)",
+                                            "constraint[0] M_P(W)(g*y)"}
+
+    fam = family_p_t(n, t - 1).masks
+    want = [("moment M_Pt(V)", (t,),
+             fraction_witness(moment_matrix(y, family_p_t(n, t)))[1]),
+            ("constraint[0] M_Pt-1(V)(g*y)", (t - 1,),
+             fraction_witness([[capacity(a | b) for b in fam] for a in fam])[1])]
+    report = lasserre_membership(y, inst, t)
+    assert not report.reduced
+    assert [(v.kind, v.witness, v.margin) for v in report.violations] == want
+
+    inst_path, point = tmp_path / "inst.json", tmp_path / "pt.json"
+    inst_path.write_text(instance_to_json(inst), encoding="utf-8")
+    point.write_text(setvector_to_json(y), encoding="utf-8")
+    for mode, lines in MARGIN_LINES.items():
+        code = main(["verify", "--instance", str(inst_path), "--point", str(point),
+                     "--mode", mode, "--t", str(t)])
+        assert code == 1
+        assert capsys.readouterr().out.splitlines() == lines
 
 
 def _profile_point(n, profile, extended=False):

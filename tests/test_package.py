@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -26,6 +27,35 @@ def test_exports_are_unique():
 def test_removed_names_are_not_exported():
     assert not set(REMOVED) & set(liftlab.__all__)
     assert not any(hasattr(liftlab, name) for name in REMOVED)
+
+
+def test_every_imported_name_is_read():
+    # __init__.py imports to re-export; every other module must read each
+    # name it imports (annotations count, __future__ features do not), unless
+    # the import is marked "noqa: F401" as kept for its side effect or for
+    # callers that reach the name through the module
+    package = os.path.dirname(liftlab.__file__)
+    unused = []
+    for fname in sorted(os.listdir(package)):
+        if not fname.endswith(".py") or fname == "__init__.py":
+            continue
+        with open(os.path.join(package, fname), encoding="utf-8") as fh:
+            source = fh.read()
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        imported = set()
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if (getattr(node, "module", None) == "__future__"
+                    or any("noqa: F401" in line
+                           for line in lines[node.lineno - 1:node.end_lineno])):
+                continue
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unused += [f"{fname}: {name}" for name in sorted(imported - read)]
+    assert unused == []
 
 
 def _child_env():

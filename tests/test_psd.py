@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -85,6 +86,82 @@ def test_exact_matches_principal_minor_oracle():
                 for j in range(i, d):
                     rows[i][j] = rows[j][i] = rand_rat(rng, -3, 3)
         assert psd_exact(rows) == psd_by_principal_minors(rows)
+
+
+def fraction_witness(rows):
+    """Symmetric elimination on Fractions, entry by entry: the oracle that
+    psd_exact_witness's verdicts and offending values are checked against."""
+    m = [[Fraction(v.numerator, v.denominator) for v in r] for r in rows]
+    d = len(m)
+    for i in range(d):
+        row = m[i]
+        p = row[i]
+        if p < 0:
+            return False, p
+        if p == 0:
+            for j in range(i + 1, d):
+                if row[j] != 0:
+                    return False, row[j]
+            continue
+        for j in range(i + 1, d):
+            f = row[j]
+            if f == 0:
+                continue
+            f = f / p
+            rj = m[j]
+            for k in range(j, d):
+                if row[k] != 0:
+                    rj[k] = rj[k] - f * row[k]
+    return True, None
+
+
+def _oracle_case(rng, shape):
+    """A symmetric Fraction matrix of dimension 1..8 of the given shape."""
+    d = rng.randint(1, 8)
+    # a Gram matrix A^T A of rank at most r: PSD, singular when r < d
+    r = rng.randint(1, d)
+    a = [[Fraction(rng.randint(-3, 3), rng.randint(1, 7)) for _ in range(d)]
+         for _ in range(r)]
+    rows = [[sum((a[k][i] * a[k][j] for k in range(r)), Fraction(0))
+             for j in range(d)] for i in range(d)]
+    if shape == "perturbed":
+        i, j = rng.randrange(d), rng.randrange(d)
+        rows[i][j] = rows[j][i] = rows[i][j] + Fraction(rng.choice((-1, 1)),
+                                                        rng.randint(1, 7))
+    elif shape == "zero pivot":
+        # a zero diagonal entry whose row is zero, or has one non-zero entry
+        i = rng.randrange(d)
+        for j in range(d):
+            rows[i][j] = rows[j][i] = Fraction(0)
+        if d > 1 and rng.random() < 0.5:
+            j = rng.choice([j for j in range(d) if j != i])
+            rows[i][j] = rows[j][i] = Fraction(rng.randint(1, 5), rng.randint(1, 7))
+    return rows
+
+
+def test_integer_elimination_matches_the_fraction_oracle():
+    rng = random.Random(20261019)
+    verdicts = {}
+    for case in range(2400):
+        shape = ("gram", "perturbed", "zero pivot")[case % 3]
+        rows = _oracle_case(rng, shape)
+        form = ("fraction", "int", "mixed")[case // 3 % 3]
+        if form == "int":  # cleared by the lcm: the same verdict, scaled values
+            den = math.lcm(*(v.denominator for r in rows for v in r))
+            rows = [[int(v * den) for v in r] for r in rows]
+        elif form == "mixed":
+            rows = [[int(v) if v.denominator == 1 and rng.random() < 0.5 else v
+                     for v in r] for r in rows]
+        expected = fraction_witness(rows)
+        got = psd_exact_witness(rows)
+        assert got == expected, (shape, form, rows)
+        if not got[0]:
+            assert type(got[1]) is Q
+        verdicts[shape, got[0]] = verdicts.get((shape, got[0]), 0) + 1
+    # Gram matrices are PSD; the other two shapes give both verdicts
+    assert all(verdicts.get((shape, ok), 0) >= 50
+               for shape in ("perturbed", "zero pivot") for ok in (True, False))
+    assert verdicts.get(("gram", False), 0) == 0
 
 
 def test_float_side():
