@@ -166,7 +166,7 @@ def _check_level(y: SetVector, n: int, depth: int, what: str,
     stored = [0] * (depth + 1)
     invariant = True
     for m, v in level:
-        if not (0 <= v <= 1):
+        if not 0 <= v.numerator <= v.denominator:  # 0 <= v <= 1, without Fraction
             report.add("range", indices_of(m), v)
         if invariant:
             size = m.bit_count()
@@ -413,7 +413,7 @@ class LiftedInequality:
 
 def _merge(into: dict, other: dict, scale):
     for m, c in other.items():
-        into[m] = into.get(m, ZERO) + scale * c
+        into[m] = into.get(m, 0) + scale * c
     return into
 
 
@@ -436,12 +436,19 @@ def _disjoint_pairs(n: int, k: int):
                 yield i_mask, u_mask & ~i_mask
 
 
+def _integral(v):
+    """v as an int if it is integral, else v: ints keep rows off Fraction."""
+    return v.numerator if v.denominator == 1 else v
+
+
 def _capacity_row(inst: KnapsackInstance, i_mask: int, j_mask: int) -> dict:
     """Lifted capacity row C * B(I, J) - sum_i c_i * B(I u i, J) >= 0,
-    where B(I, J) = sum_{L <= J} (-1)^|L| y_{I u L}."""
-    cap = _merge({}, signed_base(i_mask, j_mask), inst.capacity)
+    where B(I, J) = sum_{L <= J} (-1)^|L| y_{I u L}. Integral C and c_i
+    enter as ints, so an integral instance gives an int row."""
+    cap = _merge({}, signed_base(i_mask, j_mask), _integral(inst.capacity))
     for item in range(inst.n):
-        _merge(cap, signed_base(i_mask, j_mask, 1 << item), -inst.sizes[item])
+        _merge(cap, signed_base(i_mask, j_mask, 1 << item),
+               -_integral(inst.sizes[item]))
     return cap
 
 
@@ -465,7 +472,7 @@ def sa_linear_constraints(inst: KnapsackInstance, t: int) -> list[LiftedInequali
                 lifted_i = signed_base(i_mask, j_mask, 1 << item)
                 out.append(_as_ineq(lifted_i, f"lb i={item} {pair}"))
                 ub = dict(base)
-                _merge(ub, lifted_i, Q(-1))
+                _merge(ub, lifted_i, -1)
                 out.append(_as_ineq(ub, f"ub i={item} {pair}"))
     return out
 

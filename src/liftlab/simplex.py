@@ -7,14 +7,19 @@ guaranteed.
 
 The tableau is fraction-free (Edmonds 1967; Bareiss 1968): each row,
 and the objective row, holds Python integers over one positive integer
-denominator. A pivot rewrites only the rows with a non-zero entry in
-the pivot column, as (R*P + f*N) / (D*P), and divides each by the gcd
-of its numerators and denominator, so no per-entry gcd is paid. Every
-rule still decides on exact values: objective coefficients share one
-denominator and compare as integers, and ratios compare by
-cross-multiplication. So the pivots, the optimal point and the value
-are those of a tableau of rationals. Rationals appear only where rows
-come in from an LPProblem and where (value, point) go out.
+denominator. Int coefficients and right-hand sides come in as they are,
+so an integral LP is built without rational arithmetic; a row with any
+other coefficient is coerced with `rat` and cleared of its
+denominators. A pivot with pivot entry P and new row N rewrites only
+the rows R with a non-zero entry f in the pivot column: with
+g = gcd(P, f) it forms ((P/g)*R + (f/g)*N) / (D*P/g), then divides the
+row by the gcd of its numerators and denominator, so no per-entry gcd
+is paid. Every rule still decides on exact values: objective
+coefficients share one denominator and compare as integers, and ratios
+compare by cross-multiplication. So the pivots, the optimal point and
+the value are those of a tableau of rationals. Rationals appear only
+where non-integral rows or objective coefficients come in and where
+(value, point) go out.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ class LPProblem:
     def add(self, coeffs: dict, sense: str, rhs):
         if sense not in ("<=", ">=", "=="):
             raise ValueError(f"bad sense {sense!r}")
-        self.constraints.append((coeffs, sense, rat(rhs)))
+        self.constraints.append((coeffs, sense, rhs if type(rhs) is int else rat(rhs)))
 
     def variables(self) -> list:
         seen = dict.fromkeys(self.objective)
@@ -60,17 +65,13 @@ class LPProblem:
 _DEGENERATE_STREAK = 12
 
 
-def _reduced(row, d):
-    """Integer numerators over d > 0, divided by their common gcd."""
+def _combine(x, a, y, b, d):
+    """The row (a*x + b*y) / d in lowest terms, as (numerators, denominator)."""
+    row = [a * u + b * v for u, v in zip(x, y)]
     g = math.gcd(d, *row)
     if g > 1:
         return [v // g for v in row], d // g
     return row, d
-
-
-def _combine(x, a, y, b, d):
-    """The row (a*x + b*y) / d in lowest terms, as (numerators, denominator)."""
-    return _reduced([a * u + b * v for u, v in zip(x, y)], d)
 
 
 class _Dictionary:
@@ -102,17 +103,32 @@ class _Dictionary:
             newrow = old[:]
             newrow[j] = -den[i]
             p = -p
-        newrow, p = _reduced(newrow, p)
-        for r in range(len(rows)):
-            f = rows[r][j]
-            if r == i or f == 0:
+        g = math.gcd(p, *newrow)
+        if g > 1:
+            newrow = [v // g for v in newrow]
+            p //= g
+        # substitute x_nonbasic[j]: row <- (a*row + b*newrow) / (den*a),
+        # with (a, b) = (p, f) / gcd(p, f), then to lowest terms
+        for r, row in enumerate(rows):
+            f = row[j]
+            if f == 0 or r == i:
                 continue
-            rows[r][j] = 0
-            rows[r], den[r] = _combine(rows[r], p, newrow, f, den[r] * p)
+            g = math.gcd(p, f)
+            a, b = p // g, f // g
+            row[j] = 0
+            row = [a * u + b * v for u, v in zip(row, newrow)]
+            d = den[r] * a
+            g = math.gcd(d, *row)
+            if g > 1:
+                row = [v // g for v in row]
+                d //= g
+            rows[r], den[r] = row, d
         f = self.obj[j]
         if f != 0:
+            g = math.gcd(p, f)
             self.obj[j] = 0
-            self.obj, self.oden = _combine(self.obj, p, newrow, f, self.oden * p)
+            self.obj, self.oden = _combine(self.obj, p // g, newrow, f // g,
+                                           self.oden * (p // g))
         rows[i], den[i] = newrow, p
         self.basic[i], self.nonbasic[j] = self.nonbasic[j], self.basic[i]
 
@@ -159,20 +175,29 @@ class _Dictionary:
 
 
 def _build_rows(problem: LPProblem, var_index):
+    """Dictionary rows (-A, then b) as integer numerators over a denominator.
+
+    A '<=' row gives one row, '>=' its negation and '==' both. Int
+    entries are taken as they are; a row with any other entry is coerced
+    with `rat` and cleared of its denominators by `integer_row`.
+    """
     rows, den = [], []
     for coeffs, sense, rhs in problem.constraints:
-        senses = [("<=", coeffs, rhs)] if sense != "==" else \
-            [("<=", coeffs, rhs), (">=", coeffs, rhs)]
-        if sense == ">=":
-            senses = [(">=", coeffs, rhs)]
-        for s, cf, r in senses:
-            sign = 1 if s == "<=" else -1
-            row = [ZERO] * len(var_index)
-            for v, c in cf.items():
-                row[var_index[v]] += sign * rat(c)
-            # dictionary form keeps -A, with b last
-            numerators, d = integer_row([-x for x in row] + [sign * rat(r)])
-            rows.append(numerators)
+        row = [0] * (len(var_index) + 1)
+        integral = True
+        for v, c in coeffs.items():
+            if type(c) is not int:
+                c, integral = rat(c), False
+            row[var_index[v]] = -c
+        if type(rhs) is not int:
+            rhs, integral = rat(rhs), False
+        row[-1] = rhs
+        row, d = (row, 1) if integral else integer_row(row)
+        if sense != ">=":
+            rows.append(row)
+            den.append(d)
+        if sense in (">=", "=="):
+            rows.append([-x for x in row])
             den.append(d)
     return rows, den
 
@@ -196,7 +221,8 @@ def simplex_exact(problem: LPProblem):
 
     for v, c in problem.objective.items():
         j = var_index[v]
-        c = rat(c)
+        if type(c) is not int:
+            c = rat(c)
         # express the objective over the current basis: add c * x_j
         if j in d.nonbasic:
             x, dx = [0] * len(d.obj), 1

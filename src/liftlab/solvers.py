@@ -25,7 +25,8 @@ from .simplex import LPProblem, simplex_exact
 from .subsets import count_p_t, family_p_t, indices_of, signed_base
 
 # rows x variables of the dense SA LP (`sa_lp_size`). Measured on a 2-core
-# x86-64 box: n=12/t=3 (603,152) solves in 42 s, n=13/t=3 (980,200) in 148 s
+# x86-64 box, sizes 1 and one 3/2, capacity 19/10: n=12/t=3 (537,592)
+# solves in 32 s, n=13/t=3 (872,378) in 89 s
 SA_DENSE_CAP = 700_000
 LASSERRE_DIM_CAP = 400
 # floats in the dense moment-block tensor, |P_2t| x |P_t|^2 (`lasserre_value`
@@ -43,12 +44,23 @@ def sa_lp_problem(inst: KnapsackInstance, t: int) -> LPProblem:
     |I u J| = t. Every lower-level inequality is the sum of two
     one-level-higher ones (split a fresh item into I or J), so the
     feasible set is that of the full system.
+
+    The base rows B(U, 0) >= 0 read y_U >= 0, which the simplex keeps
+    for every variable, so they are left out, and the pivots are those
+    of the LP with them. The rows hold at y = 0 (each constant is 0, 1
+    or C >= 0), so no phase one runs, and the slack s of such a row
+    never leaves: while y_U is nonbasic, s = y_U has no negative entry;
+    once y_U is basic, s has y_U's own row, ties it in every ratio test
+    and loses the tie to y_U's smaller index.
+
+    Rows come from `signed_base` and `_capacity_row`, so an instance
+    with integral capacity and sizes gives int coefficients throughout.
     """
     n = inst.n
     problem = LPProblem({1 << i: inst.values[i] for i in range(n)})
 
     def add_geq0(coeffs: dict):
-        const = coeffs.pop(0, ZERO)
+        const = coeffs.pop(0, 0)
         coeffs = {m: c for m, c in coeffs.items() if c != 0}
         if coeffs:
             problem.add(coeffs, ">=", -const)
@@ -58,7 +70,8 @@ def sa_lp_problem(inst: KnapsackInstance, t: int) -> LPProblem:
     for i_mask, j_mask in _disjoint_pairs(n, min(t - 1, n)):
         add_geq0(_capacity_row(inst, i_mask, j_mask))
     for i_mask, j_mask in _disjoint_pairs(n, min(t, n)):
-        add_geq0(signed_base(i_mask, j_mask))
+        if j_mask:  # B(U, 0) >= 0 is y_U >= 0
+            add_geq0(signed_base(i_mask, j_mask))
     return problem
 
 
@@ -104,11 +117,13 @@ def sa_lp_size(n: int, t: int) -> tuple:
     """(rows, variables) of `sa_lp_problem` at n items and level t.
 
     Each k-set U splits into 2^k pairs (I, J): the capacity rows come from
-    k = min(t-1, n), the base rows from k = min(t, n); the variables are the
-    nonempty sets of size <= t. Rows that vanish identically are dropped,
-    so the row count is an upper bound.
+    k = min(t-1, n), the base rows from k = min(t, n), less the pair
+    (U, 0) of each U; the variables are the nonempty sets of size <= t.
+    Rows that vanish identically are dropped, so the row count is an
+    upper bound.
     """
-    rows = sum(math.comb(n, k) << k for k in (min(t - 1, n), min(t, n)))
+    low, top = min(t - 1, n), min(t, n)
+    rows = (math.comb(n, low) << low) + math.comb(n, top) * ((1 << top) - 1)
     return rows, count_p_t(n, t) - 1
 
 

@@ -123,7 +123,7 @@ class SetVector:
 
     __slots__ = ("n", "values", "extended")
 
-    def __init__(self, n: int, values: dict[int, "Q"], extended: bool = False):
+    def __init__(self, n: int, values: dict[int, Q], extended: bool = False):
         if n > MAX_GROUND:
             raise ValueError(f"ground set too large: {n} > {MAX_GROUND}")
         self.n = n
@@ -175,12 +175,13 @@ def restrict_reindex(y: SetVector, keep_mask: int) -> SetVector:
 def signed_base(i_mask: int, j_mask: int, extra_bit: int = 0) -> dict:
     """B(I, J) = sum_{L <= J} (-1)^|L| y_{I u L u extra} as {mask: coefficient},
     the one coefficient form of B(I, J). B(X, S\\X) is the indicator
-    polynomial prod_{i in X} x_i prod_{j in S\\X} (1 - x_j) of X on S."""
+    polynomial prod_{i in X} x_i prod_{j in S\\X} (1 - x_j) of X on S.
+    The coefficients are plain ints (+-1, or 0 where extra lies in J), so
+    rows built from them stay on ints until a rational scale meets them."""
     out = {}
     for l in submasks(j_mask):
         m = i_mask | l | extra_bit
-        c = Q(-1 if l.bit_count() % 2 else 1)
-        out[m] = out.get(m, ZERO) + c
+        out[m] = out.get(m, 0) + (-1 if l.bit_count() % 2 else 1)
     return out
 
 
@@ -237,16 +238,16 @@ def w_normalize(z: SetVector) -> SetVector:
 def moment_matrix(y: SetVector, family: SubsetFamily) -> list[list]:
     """M_T(y) as row lists: entry (I, J) is y_{I u J} over the family's order."""
     masks = family.masks
-    rows = []
+    get = y.values.get
+    rows = [[None] * len(masks) for _ in masks]
+    # unions are symmetric, so each entry fills both triangles
     for i, mi in enumerate(masks):
-        row = [None] * len(masks)
+        row = rows[i]
         for j in range(i + 1):
-            row[j] = y[mi | masks[j]]
-        rows.append(row)
-    # mirror the lower triangle; unions are symmetric so this is exact
-    for i in range(len(masks)):
-        for j in range(i + 1, len(masks)):
-            rows[i][j] = rows[j][i]
+            v = get(mi | masks[j])
+            if v is None:  # ZERO, or the KeyError of a non-extended vector
+                v = y[mi | masks[j]]
+            row[j] = rows[j][i] = v
     return rows
 
 

@@ -399,7 +399,7 @@ def test_sweep_json_keeps_a_value_whose_ratio_is_out_of_reach(tmp_path, capsys):
 
 
 def test_dense_sa_lp_over_the_cap_is_refused_up_front(tmp_path, capsys):
-    # 9680 rows x 793 variables; sa-value and the sweep both exit 2 at once
+    # 9185 rows x 793 variables; sa-value and the sweep both exit 2 at once
     path = tmp_path / "skewed.json"
     path.write_text(instance_to_json(make_instance([1] * 11 + ["3/2"], [1] * 12,
                                                    "19/10")), encoding="utf-8")
@@ -408,7 +408,7 @@ def test_dense_sa_lp_over_the_cap_is_refused_up_front(tmp_path, capsys):
                   "--modes", "sa-lp"]):
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: dense SA LP at n=12, t=4 has 9680 rows")
+        assert err.startswith("error: dense SA LP at n=12, t=4 has 9185 rows")
 
 
 def test_dense_lasserre_over_the_cap_is_refused_up_front(tmp_path, capsys):

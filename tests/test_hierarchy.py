@@ -110,6 +110,13 @@ def test_range_violations_reported():
     bad_unit = SetVector(2, {0: Q(1, 2), 0b01: Q(0), 0b10: Q(0)})
     report = sa_membership(bad_unit, inst, 1)
     assert any(v.kind == "y_empty" for v in report.violations)
+    # 0 and 1 are in range; values just outside are reported with
+    # themselves as the margin
+    edge = SetVector(4, {0: Q(1), 0b0001: Q(0), 0b0010: Q(1),
+                         0b0100: Q(-1, 7), 0b1000: Q(8, 7)})
+    report = sa_membership(edge, make_instance([1] * 4, [1] * 4, 2), 1)
+    assert [(v.witness, v.margin) for v in report.violations
+            if v.kind == "range"] == [((2,), Q(-1, 7)), ((3,), Q(8, 7))]
     # a long report lists 20 violations and counts the rest
     many = MembershipReport()
     for i in range(23):

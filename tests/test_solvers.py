@@ -1,5 +1,6 @@
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,9 +8,11 @@ import pytest
 from liftlab import (LPProblem, Q, certificate_alpha, family_p_t, greedy,
                      lasserre_value, lp_value, make_instance, opt_solution,
                      sa_linear_constraints, sa_lp_problem, sa_value,
-                     simplex_exact, uniform_gap_instance)
+                     signed_base, simplex_exact, uniform_gap_instance)
 
-from liftlab.solvers import (_barrier, _dense_problem, _forced_zero,
+from liftlab import simplex
+from liftlab.hierarchy import _capacity_row, _disjoint_pairs
+from liftlab.solvers import (SA_DENSE_CAP, _barrier, _dense_problem, _forced_zero,
                              _orbit_problem, check_lasserre_size, sa_lp_size)
 
 from conftest import rand_instance
@@ -79,6 +82,81 @@ def test_sa_lp_rows_have_no_zero_coefficients(rng):
             assert all(c != 0 for c in coeffs.values()), (inst, t, coeffs)
         assert sa_value(inst, t) == simplex_exact(_full_sa_lp(inst, t))[0]
     assert sa_value(cases[0][0], 2) == 6
+
+
+def _lp_with_base_rows(inst, t):
+    """The dense SA LP with the rows y_U >= 0, |U| = min(t, n), kept: every
+    capacity row at |I u J| = t - 1, then every base row at |I u J| = t.
+    Returns it and its rows without those y_U >= 0, in order."""
+    n = inst.n
+    problem = LPProblem({1 << i: inst.values[i] for i in range(n)})
+    rows = [(_capacity_row(inst, i, j), False)
+            for i, j in _disjoint_pairs(n, min(t - 1, n))]
+    rows += [(signed_base(i, j), not j) for i, j in _disjoint_pairs(n, min(t, n))]
+    kept = []
+    for coeffs, is_y_u in rows:
+        const = coeffs.pop(0, 0)
+        coeffs = {m: c for m, c in coeffs.items() if c != 0}
+        if coeffs:
+            problem.add(coeffs, ">=", -const)
+            if not is_y_u:
+                kept.append(problem.constraints[-1])
+    return problem, kept
+
+
+def test_dropped_base_rows_keep_the_pivot_path(rng, monkeypatch):
+    # sa_lp_problem leaves out B(U, 0) >= 0, i.e. y_U >= 0, which the
+    # simplex keeps anyway; putting the rows back in their places gives
+    # the same pivots, the same value and the same optimal vertex
+    pivots = []
+    pivot = simplex._Dictionary.pivot
+    monkeypatch.setattr(simplex._Dictionary, "pivot",
+                        lambda d, i, j: pivots.append(None) or pivot(d, i, j))
+
+    def solve(problem):
+        pivots.clear()
+        return simplex_exact(problem), len(pivots)
+
+    rational = make_instance(["3/2", 1, "1/2", "4/5", 1, "6/5"],
+                             [3, "5/2", 1, 4, "7/3", 2], "19/10")
+    for case in range(200):
+        t = rng.randint(1, 3)
+        n = rng.randint(1, 6 if case % 2 or t < 3 else 4)
+        if case % 2:
+            keep = sorted(rng.sample(range(6), n))
+            inst = make_instance([rational.sizes[i] for i in keep],
+                                 [rational.values[i] for i in keep], rational.capacity)
+        else:
+            inst = rand_instance(rng, n)
+        problem = sa_lp_problem(inst, t)
+        full, kept = _lp_with_base_rows(inst, t)
+        assert kept == problem.constraints, case
+        assert len(full.constraints) - len(kept) == math.comb(n, min(t, n))
+        result, count = solve(problem)
+        assert solve(full) == (result, count), (case, n, t)
+        if case % 4 < 2:
+            # the same LP with Fraction and str coefficients
+            for form in (Fraction, str):
+                alt = LPProblem({v: form(c) for v, c in problem.objective.items()})
+                for coeffs, sense, rhs in problem.constraints:
+                    alt.add({m: form(c) for m, c in coeffs.items()}, sense, form(rhs))
+                assert simplex_exact(alt) == result, (case, form)
+
+
+def test_integral_sa_lp_stays_on_ints(rng):
+    # integral capacity and sizes: the rows never touch Fraction, and the
+    # dictionary starts with denominator 1 on every row
+    for n, t in ((4, 2), (5, 3), (6, 2)):
+        inst = rand_instance(rng, n)
+        assert not inst.is_uniform()
+        problem = sa_lp_problem(inst, t)
+        for coeffs, _, rhs in problem.constraints:
+            assert all(type(c) is int for c in coeffs.values()), coeffs
+            assert type(rhs) is int, rhs
+        variables = problem.variables()
+        rows, den = simplex._build_rows(problem, {v: k for k, v in enumerate(variables)})
+        assert den == [1] * len(rows)
+        assert all(type(v) is int for row in rows for v in row)
 
 
 def test_sa_value_dominates_certificate():
@@ -326,12 +404,19 @@ def test_sa_cap_counts_the_dense_lp(rng):
             assert nvars == len(problem.variables()), (n, t)
             assert (rows == len(problem.constraints) if t <= n
                     else rows >= len(problem.constraints)), (n, t)
-    assert sa_lp_size(10, 3) == (1140, 175)
-    assert sa_lp_size(12, 3) == (2024, 298)
+    assert sa_lp_size(10, 3) == (1020, 175)
+    assert sa_lp_size(12, 3) == (1804, 298)
     # n = 12, t = 4 has 793 variables, under the old cap of 2000 variables,
-    # but 9680 rows: refused up front, where the dense solve ran for minutes
-    assert sa_lp_size(12, 4) == (9680, 793)
+    # but 9185 rows: refused up front, where the dense solve ran for minutes
+    assert sa_lp_size(12, 4) == (9185, 793)
     skewed = make_instance([1] * 11 + ["3/2"], [1] * 12, "19/10")
-    with pytest.raises(ValueError, match="9680 rows x 793 variables"):
+    with pytest.raises(ValueError, match="9185 rows x 793 variables"):
         sa_value(skewed, 4)
+    # leaving out the C(n, min(t, n)) rows y_U >= 0 admits no new (n, t)
+    # under SA_DENSE_CAP, nor refuses one the count with them admitted
+    for n in range(1, 25):
+        for t in range(1, n + 2):
+            rows, nvars = sa_lp_size(n, t)
+            with_base = rows + math.comb(n, min(t, n))
+            assert (rows * nvars > SA_DENSE_CAP) == (with_base * nvars > SA_DENSE_CAP), (n, t)
     assert sa_value(uniform_gap_instance(12, "1/10"), 4) == _closed_form(12, Q(9, 5), 4)

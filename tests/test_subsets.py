@@ -148,6 +148,23 @@ def test_moment_matrix_entries_and_symmetry(rng):
         for j, b in enumerate(fam.masks):
             assert mat[i][j] == y[a | b]
             assert mat[i][j] == mat[j][i]
+    # entries and their types are those of y[I u J]: ZERO for a missing
+    # entry of an extended vector, the same KeyError for a non-extended one
+    for n, t in ((4, 2), (5, 2)):
+        fam = family_p_t(n, t)
+        full = rand_setvector(rng, n)
+        sparse = SetVector(n, {m: v for m, v in full.values.items()
+                               if rng.random() < 0.6}, extended=True)
+        for y in (full, sparse):
+            expected = [[y[a | b] for b in fam.masks] for a in fam.masks]
+            got = moment_matrix(y, fam)
+            assert got == expected
+            assert [[type(v) for v in row] for row in got] == \
+                [[type(v) for v in row] for row in expected]
+    partial = SetVector(2, {0: Q(1), 0b01: Q(1, 2), 0b10: Q(1, 3)})
+    with pytest.raises(KeyError, match=r"subset \[0, 1\] outside support of "
+                                       r"non-extended vector"):
+        moment_matrix(partial, family_p_t(2, 1))
 
 
 def test_setvector_json_round_trip(rng):
