@@ -10,17 +10,15 @@ the decomposition of vanishing-condition points into conditioned
 
 from .decomposition import (DecompositionResult, big_items, decompose,
                             vanishing_condition, verify_decomposition)
-from .hierarchy import (CertificateCheck, LiftedInequality, MembershipReport,
-                        Violation, certificate_alpha, certificate_membership,
+from .hierarchy import (CertificateCheck, MembershipReport, Violation,
+                        certificate_alpha, certificate_membership,
                         convex_combination, integer_to_moment,
                         lasserre_membership, sa_gap_certificate,
-                        sa_linear_constraints, sa_membership,
-                        verify_gap_certificate)
+                        sa_membership, verify_gap_certificate)
 from .knapsack import (KnapsackInstance, Solution, greedy, instance_from_json,
                        instance_to_json, lp_value, make_instance, opt_solution,
                        residual, uniform_gap_instance)
-from .psd import (EigenConvergenceError, matrix_to_float, min_eigenvalue,
-                  project_psd, psd_exact, psd_float)
+from .psd import EigenConvergenceError, project_psd, psd_exact
 from .rationals import ONE, Q, ZERO, rat, rat_str
 from .simplex import LPInfeasible, LPProblem, LPUnbounded, simplex_exact
 from .solvers import (LasserreEstimate, lasserre_value, sa_lp_problem,
@@ -37,7 +35,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CertificateCheck", "DecompositionResult", "EigenConvergenceError",
     "KnapsackInstance", "LPInfeasible", "LPProblem", "LPUnbounded",
-    "LasserreEstimate", "LiftedInequality",
+    "LasserreEstimate",
     "MembershipReport", "ONE", "Q", "ResultRow",
     "SetVector", "Solution", "SubsetFamily", "SweepConfig",
     "Violation", "ZERO", "big_items", "certificate_alpha",
@@ -46,11 +44,10 @@ __all__ = [
     "family_p_t", "family_powerset", "greedy", "indices_of",
     "instance_from_json", "instance_to_json", "integer_to_moment",
     "is_closed_under_shifting", "lasserre_membership", "lasserre_value",
-    "lp_value", "make_instance", "mask_of", "matrix_to_float",
-    "min_eigenvalue", "moment_matrix", "opt_solution",
-    "project_psd", "psd_exact", "psd_float", "rat", "rat_str", "residual",
+    "lp_value", "make_instance", "mask_of", "moment_matrix",
+    "opt_solution", "project_psd", "psd_exact", "rat", "rat_str", "residual",
     "restrict_reindex", "run_sweep", "sa_gap_certificate",
-    "sa_linear_constraints", "sa_lp_problem", "sa_membership", "sa_value",
+    "sa_lp_problem", "sa_membership", "sa_value",
     "setvector_from_json", "setvector_to_json", "shift", "signed_base",
     "simplex_exact", "submasks", "uniform_gap_instance",
     "vanishing_condition", "verify_decomposition", "verify_gap_certificate",

@@ -1,5 +1,5 @@
-"""Sherali-Adams and Lasserre lifted-polytope membership, linear SA
-constraints, and the uniform-knapsack gap certificate.
+"""Sherali-Adams and Lasserre lifted-polytope membership, the rows of
+the linear SA system, and the uniform-knapsack gap certificate.
 
 Lifted points are SetVectors over P_t(V) (SA) or P_2t(V) (Lasserre)
 with y_0 = 1. Both membership checkers test the moment condition and
@@ -89,16 +89,18 @@ def convex_combination(parts) -> SetVector:
     return SetVector(n, values)
 
 
-def _capacity_shift(y: SetVector, capacity, sizes):
-    """Memoized entries of g*y for the capacity g: C y_K - sum_i c_i y_{K u i}."""
+def _capacity_shift(values: dict, capacity, sizes):
+    """Memoized entries of g*y for the capacity g: C y_K - sum_i c_i y_{K u i},
+    y_K read from values, a missing entry as 0."""
+    get = values.get
     bits = [(1 << i, c) for i, c in enumerate(sizes)]
     memo = {}
 
     def value(mask: int):
         v = memo.get(mask)
         if v is None:
-            v = memo[mask] = capacity * y[mask] - sum(
-                c * y[mask | bit] for bit, c in bits)
+            v = memo[mask] = capacity * get(mask, 0) - sum(
+                c * get(mask | bit, 0) for bit, c in bits)
         return v
     return value
 
@@ -111,24 +113,26 @@ def _on_integers(y: SetVector, inst: KnapsackInstance):
     denominators of C and the sizes; and the divisors L_y and L_y * L_c
     that take a value of either back to y. Positive scaling keeps every
     sign and every PSD verdict, and scales every Moebius difference and
-    every pivot by the same factor.
+    every pivot by the same factor. Y's entries are read from its dict, a
+    missing one as 0: `_check_level` has refused a vector that is not
+    extended and misses part of its level.
     """
     nums, l_y = integer_row(list(y.values.values()))
     ints = SetVector(y.n, dict(zip(y.values, nums)), y.extended)
     (capacity, *sizes), l_c = integer_row([inst.capacity, *inst.sizes])
-    return ints, _capacity_shift(ints, capacity, sizes), l_y, l_y * l_c
+    return ints, _capacity_shift(ints.values, capacity, sizes), l_y, l_y * l_c
 
 
-def _mobius_min(values, u_mask: int):
+def _mobius_min(read, u_mask: int):
     """Smallest B(I, U\\I) = sum_{L <= U\\I} (-1)^|L| v_{I u L} over I <= U.
 
-    `values` maps a bitmask to a rational. M_P(U)(v) = Z diag(B) Z^T
-    with Z[A, I] = [A <= I] unit triangular (Laurent 2003), so the
-    matrix is PSD iff this minimum is >= 0. The 2^|U| values on P(U)
-    are differenced in place, one item of U at a time.
+    `read` maps a list of bitmasks to the list of their rationals v.
+    M_P(U)(v) = Z diag(B) Z^T with Z[A, I] = [A <= I] unit triangular
+    (Laurent 2003), so the matrix is PSD iff this minimum is >= 0. The
+    2^|U| values on P(U) are differenced in place, one item of U at a time.
     """
     # in numeric order, bit j of a submask's position is the j-th item of U
-    v = [values(m) for m in sorted(submasks(u_mask))]
+    v = read(sorted(submasks(u_mask)))
     step = 1
     while step < len(v):
         for base in range(0, len(v), 2 * step):
@@ -231,11 +235,13 @@ def _sa_family_tests(y: SetVector, inst: KnapsackInstance, t: int,
     """The Moebius sign tests of sa_membership, one per |U| = t and |W| = t-1,
     run on `_on_integers`."""
     ints, capacity, l_y, l_g = _on_integers(y, inst)
-    for kind, values, size, scale in (
-            ("moment M_P(U)", ints.__getitem__, t, l_y),
-            ("constraint[0] M_P(W)(g*y)", capacity, t - 1, l_g)):
+    get = ints.values.get
+    for kind, read, size, scale in (
+            ("moment M_P(U)", lambda ms: [get(m, 0) for m in ms], t, l_y),
+            ("constraint[0] M_P(W)(g*y)", lambda ms: list(map(capacity, ms)),
+             t - 1, l_g)):
         for combo in itertools.combinations(range(inst.n), size):
-            low = _mobius_min(values, mask_of(combo))
+            low = _mobius_min(read, mask_of(combo))
             report.checked += 1
             if low < 0:
                 report.add(kind, combo, Q(low, scale))
@@ -400,26 +406,10 @@ def _lasserre_membership_dense(y: SetVector, inst: KnapsackInstance,
     return report
 
 
-@dataclass(frozen=True)
-class LiftedInequality:
-    """sum_mask coeffs[mask] * y_mask >= 0, with y_0 a regular variable."""
-
-    coeffs: tuple  # ((mask, coefficient), ...) sorted by mask
-    tag: str
-
-    def evaluate(self, y: SetVector):
-        return sum((c * y[m] for m, c in self.coeffs), ZERO)
-
-
 def _merge(into: dict, other: dict, scale):
     for m, c in other.items():
         into[m] = into.get(m, 0) + scale * c
     return into
-
-
-def _as_ineq(coeffs: dict, tag: str) -> LiftedInequality:
-    items = tuple(sorted((m, c) for m, c in coeffs.items() if c != 0))
-    return LiftedInequality(items, tag)
 
 
 def _disjoint_pairs(n: int, k: int):
@@ -450,31 +440,6 @@ def _capacity_row(inst: KnapsackInstance, i_mask: int, j_mask: int) -> dict:
         _merge(cap, signed_base(i_mask, j_mask, 1 << item),
                -_integral(inst.sizes[item]))
     return cap
-
-
-def sa_linear_constraints(inst: KnapsackInstance, t: int) -> list[LiftedInequality]:
-    """Level-t linear SA system for Knapsack over y in P_t(V).
-
-    For every disjoint pair (I, J) with |I| + |J| <= t - 1 emits the
-    lifted capacity inequality and, per item, the lifted bounds
-    0 <= x_i <= 1. The normalization y_0 = 1 is the consumer's to add.
-    """
-    if t < 1:
-        raise ValueError("level t must be >= 1")
-    n = inst.n
-    out = []
-    for total in range(t):
-        for i_mask, j_mask in _disjoint_pairs(n, total):
-            pair = f"I={indices_of(i_mask)},J={indices_of(j_mask)}"
-            out.append(_as_ineq(_capacity_row(inst, i_mask, j_mask), f"cap {pair}"))
-            base = signed_base(i_mask, j_mask)
-            for item in range(n):
-                lifted_i = signed_base(i_mask, j_mask, 1 << item)
-                out.append(_as_ineq(lifted_i, f"lb i={item} {pair}"))
-                ub = dict(base)
-                _merge(ub, lifted_i, -1)
-                out.append(_as_ineq(ub, f"ub i={item} {pair}"))
-    return out
 
 
 def certificate_alpha(n: int, eps, t: int):

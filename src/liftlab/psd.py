@@ -1,10 +1,10 @@
-"""Positive-semidefiniteness tests: exact rational and floating point.
+"""Positive-semidefiniteness: the exact test and a float projection.
 
 The exact test is symmetric Gaussian elimination with the zero-pivot
 row/column rule (leading principal minors alone do not characterize
-PSD). The floating-point side is backed by numpy's symmetric
-eigensolver behind the same contracts. numpy is imported on first float
-use, inside each float helper, so the exact side never loads it.
+PSD). `project_psd` clamps the spectrum of numpy's symmetric
+eigensolver; it imports numpy on first use, so the exact side never
+loads it.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 from .rationals import Q
 
-if TYPE_CHECKING:  # the annotations' np; the float helpers import it at run time
+if TYPE_CHECKING:  # the annotations' np; project_psd imports it at run time
     import numpy as np
 
 
@@ -94,22 +94,6 @@ def _check_symmetric(mat: np.ndarray):
     return low + low.T - np.diag(np.diag(mat))
 
 
-def min_eigenvalue(mat: np.ndarray) -> float:
-    import numpy as np
-    sym = _check_symmetric(mat)
-    try:
-        return float(np.linalg.eigvalsh(sym)[0])
-    except np.linalg.LinAlgError as exc:
-        raise EigenConvergenceError(str(exc)) from exc
-
-
-def psd_float(mat: np.ndarray, tol: float) -> bool:
-    """True iff the minimum eigenvalue is >= -tol."""
-    if tol < 0:
-        raise ValueError("tol must be non-negative")
-    return min_eigenvalue(mat) >= -tol
-
-
 def project_psd(mat: np.ndarray) -> np.ndarray:
     """Nearest PSD matrix in Frobenius norm: clamp negative eigenvalues to 0."""
     import numpy as np
@@ -123,9 +107,3 @@ def project_psd(mat: np.ndarray) -> np.ndarray:
     clipped = np.clip(vals, 0.0, None)
     out = (vecs * clipped) @ vecs.T
     return (out + out.T) / 2.0
-
-
-def matrix_to_float(rows) -> np.ndarray:
-    """Convert a rational row list to a float numpy array."""
-    import numpy as np
-    return np.array([[float(x) for x in r] for r in rows], dtype=float)

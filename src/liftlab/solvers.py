@@ -28,6 +28,8 @@ from .subsets import count_p_t, family_p_t, indices_of, signed_base
 # x86-64 box, sizes 1 and one 3/2, capacity 19/10: n=12/t=3 (537,592)
 # solves in 32 s, n=13/t=3 (872,378) in 89 s
 SA_DENSE_CAP = 700_000
+# rows of Schrijver's blocks that `lasserre_value` factors on a uniform
+# instance, (t+1)^2 once n >= 2t: t <= 19 at any n
 LASSERRE_DIM_CAP = 400
 # floats in the dense moment-block tensor, |P_2t| x |P_t|^2 (`lasserre_value`
 # off the uniform family). Measured on a 2-core x86-64 box at the default
@@ -138,16 +140,28 @@ def check_sa_size(inst: KnapsackInstance, t: int) -> None:
                          f"{nvars} variables, over {SA_DENSE_CAP}")
 
 
+def _orbit_rows(n: int, top: int) -> int:
+    """Rows of Schrijver's blocks of a matrix over P_top([n]) (`_orbit_blocks`):
+    block k = 0..min(top, n//2) has rows k..min(top, n-k)."""
+    return sum(min(top, n - k) - k + 1 for k in range(min(top, n // 2) + 1))
+
+
 def check_lasserre_size(inst: KnapsackInstance, t: int) -> None:
-    """Raise ValueError if lasserre_value(inst, t) would need a moment matrix
-    of dimension above LASSERRE_DIM_CAP or, off the uniform family, a dense
-    moment-block tensor of |P_2t| x |P_t|^2 floats above LASSERRE_DENSE_CAP."""
-    dim = count_p_t(inst.n, t)
-    if dim > LASSERRE_DIM_CAP:
-        raise ValueError(f"moment-matrix dimension at n={inst.n}, t={t} "
-                         f"exceeds {LASSERRE_DIM_CAP}")
-    floats = count_p_t(inst.n, 2 * t) * dim * dim
-    if not inst.is_uniform() and floats > LASSERRE_DENSE_CAP:
+    """Raise ValueError if lasserre_value(inst, t) would factor blocks of
+    more than LASSERRE_DIM_CAP rows in all or, off the uniform family, hold
+    a dense moment-block tensor of |P_2t| x |P_t|^2 floats above
+    LASSERRE_DENSE_CAP. A uniform instance factors Schrijver's moment and
+    localizer blocks, (t+1)^2 rows whenever n >= 2t, whatever n is. Off it
+    the tensor cap is the tighter one: |P_t| > 400 gives
+    |P_2t| |P_t|^2 > 6.4e7."""
+    if inst.is_uniform():
+        rows = _orbit_rows(inst.n, t) + _orbit_rows(inst.n, t - 1)
+        if rows > LASSERRE_DIM_CAP:
+            raise ValueError(f"orbit blocks at n={inst.n}, t={t} have {rows} "
+                             f"rows, over {LASSERRE_DIM_CAP}")
+        return
+    floats = count_p_t(inst.n, 2 * t) * count_p_t(inst.n, t) ** 2
+    if floats > LASSERRE_DENSE_CAP:
         raise ValueError(f"dense Lasserre blocks at n={inst.n}, t={t} hold "
                          f"{floats} floats, over {LASSERRE_DENSE_CAP}")
 
@@ -171,7 +185,9 @@ def sa_value(inst: KnapsackInstance, t: int):
 @dataclass
 class LasserreEstimate:
     value: float                 # objective of the returned point
-    point: dict                  # mask -> float over P_2t(V)
+    # mask -> float over P_2t(V); on a uniform instance y_m at (1 << m) - 1
+    # for m = 0..min(2t, n)
+    point: dict
     residual: float              # feasibility residual of that point
     sweeps: int                  # Newton steps spent
     bisections: int              # barrier stages started
@@ -209,13 +225,15 @@ def _trim(tensors) -> list:
     return out
 
 
-def _dense_problem(inst: KnapsackInstance, t: int, masks) -> tuple:
-    """(objective, blocks, |K| per variable, column per mask: 0 for y_0,
-    j + 1 for variable j, -1 for a forced 0) of the level-t problem in the
-    y_K, K in P_2t(V) = masks nonempty and not forced to 0; the blocks are
-    M_{P_t}(y) and M_{P_t-1}(g*y), (g*y)_K = C y_K - sum_i c_i y_{K u i}."""
+def _dense_problem(inst: KnapsackInstance, t: int) -> tuple:
+    """(objective, blocks, |K| per variable, the masks of P_2t(V), column
+    per mask: 0 for y_0, j + 1 for variable j, -1 for a forced 0) of the
+    level-t problem in the y_K, K in P_2t(V) nonempty and not forced to 0;
+    the blocks are M_{P_t}(y) and M_{P_t-1}(g*y),
+    (g*y)_K = C y_K - sum_i c_i y_{K u i}."""
     import numpy as np
     n = inst.n
+    masks = family_p_t(n, 2 * t).masks
     free = [m for m in masks[1:] if not _forced_zero(inst, m, t)]
     col = {m: j for j, m in enumerate([0] + free)}
 
@@ -235,18 +253,20 @@ def _dense_problem(inst: KnapsackInstance, t: int, masks) -> tuple:
     values = {1 << i: float(v) for i, v in enumerate(inst.values)}
     return (np.array([values.get(m, 0.0) for m in free]),
             _trim([block(t, [(0, 1.0)]), block(t - 1, capacity)]),
-            np.array([m.bit_count() for m in free]),
+            np.array([m.bit_count() for m in free]), masks,
             np.array([col.get(m, -1) for m in masks]))
 
 
-def _orbit_problem(inst: KnapsackInstance, t: int, masks) -> tuple:
+def _orbit_problem(inst: KnapsackInstance, t: int) -> tuple:
     """`_dense_problem` on a uniform instance, in the profile y_m = y_K,
-    |K| = m <= min(2t, n), m not forced to 0. Item permutations map the
-    feasible set onto itself and keep the objective, so averaging an optimal
-    point over them gives an optimal point of this form (Gatermann-Parrilo
-    2004). The blocks are Schrijver's (`hierarchy._orbit_blocks`) of the
-    moment matrix and of the capacity localizer (`_capacity_profile`), built
-    on unit profiles: the exact checker's code, in floats."""
+    |K| = m <= min(2t, n), m not forced to 0; its masks are one
+    representative (1 << m) - 1 per m = 0..min(2t, n). Item permutations map
+    the feasible set onto itself and keep the objective, so averaging an
+    optimal point over them gives an optimal point of this form
+    (Gatermann-Parrilo 2004). The blocks are Schrijver's
+    (`hierarchy._orbit_blocks`) of the moment matrix and of the capacity
+    localizer (`_capacity_profile`), built on unit profiles: the exact
+    checker's code, in floats."""
     import numpy as np
     n = inst.n
     top = min(2 * t, n)
@@ -260,7 +280,8 @@ def _orbit_problem(inst: KnapsackInstance, t: int, masks) -> tuple:
     return (np.array([n * float(inst.values[0]) * (m == 1) for m in free]),
             _trim([[units[b] for units in mats] for mats in (moment, localizer)
                    for b in range(len(mats[0]))]),
-            np.array(free), np.array([col.get(m.bit_count(), -1) for m in masks]))
+            np.array(free), [(1 << m) - 1 for m in range(top + 1)],
+            np.array([col.get(m, -1) for m in range(top + 1)]))
 
 
 def _barrier(c, blocks, degree, tol: float, max_steps: int):
@@ -358,9 +379,11 @@ def lasserre_value(inst: KnapsackInstance, t: int, tol: float = 1e-4,
     M_{P_t}(y) PSD and M_{P_t-1}(g*y) PSD for the capacity g; the box
     localizers are congruences of the moment matrix (`lasserre_membership`).
     On a uniform instance (equal sizes, equal values) it is solved in the
-    cardinality profile (`_orbit_problem`), otherwise in every y_K
-    (`_dense_problem`). `tol` bounds the barrier's final gap; `max_sweeps`
-    caps its Newton steps.
+    cardinality profile (`_orbit_problem`) at any n, and P_2t(V) is never
+    enumerated: the point holds y_m at the representative (1 << m) - 1 of
+    each m = 0..min(2t, n). Otherwise it is solved in every y_K
+    (`_dense_problem`), and the point holds every K in P_2t(V). `tol` bounds
+    the barrier's final gap; `max_sweeps` caps its Newton steps.
 
     Faces with no interior. For |K'| <= t-1 the localizer's diagonal entry
     at K' reads (C - cost K') y_K' - sum_{i not in K'} c_i y_{K' u i} >= 0,
@@ -374,7 +397,11 @@ def lasserre_value(inst: KnapsackInstance, t: int, tol: float = 1e-4,
     The barrier point is strictly feasible, so its objective is a lower
     estimate. The 0/1 start, an optimal 0/1 point or the greedy one where
     `opt_solution` refuses the instance (non-uniform, over 24 items),
-    replaces it whenever that is worth more or no start point factors.
+    replaces it whenever that is worth more or no start point factors; on a
+    uniform instance its point is the start averaged over item permutations,
+    y_m = C(k, m) / C(n, m) for a start of k items. A completed path that
+    ends more than tol below the start contradicts its own gap bound, a
+    floating-point failure that a note reports.
     """
     import numpy as np
     if not 1 <= t <= inst.n:
@@ -384,15 +411,15 @@ def lasserre_value(inst: KnapsackInstance, t: int, tol: float = 1e-4,
         raise ValueError("tol must be positive and finite")
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be >= 1")
-    masks = family_p_t(inst.n, 2 * t).masks
     notes = ["lower estimate: the objective of a strictly feasible point, "
              "within tol of the optimum once the barrier path completes"]
-    if inst.is_uniform():
-        c, blocks, degree, column = _orbit_problem(inst, t, masks)
+    uniform = inst.is_uniform()
+    if uniform:
+        c, blocks, degree, masks, column = _orbit_problem(inst, t)
         notes.append("solved on Schrijver's blocks in the cardinality "
                      "profile: the instance is uniform")
     else:
-        c, blocks, degree, column = _dense_problem(inst, t, masks)
+        c, blocks, degree, masks, column = _dense_problem(inst, t)
     try:
         sol, start_val = opt_solution(inst)
         start = "the integer optimum"
@@ -403,9 +430,16 @@ def lasserre_value(inst: KnapsackInstance, t: int, tol: float = 1e-4,
     notes += [stop] if stop else []
     value = -math.inf if y is None else float(c @ y)
     if value < start_val:
+        if stop is None and value < start_val - tol:
+            notes.append(f"the completed barrier path ends at {value:.6f}, more "
+                         f"than tol below the 0/1 start: its gap bound failed "
+                         f"in floating point")
         notes.append(f"the 0/1 start is the better point: the estimate is "
                      f"{start} {rat_str(start_val)}")
-        point = {m: float(m & ~sol.chosen == 0) for m in masks}
+        k = sol.chosen.bit_count()
+        point = ({r: math.comb(k, m) / math.comb(inst.n, m)
+                  for m, r in enumerate(masks)} if uniform
+                 else {m: float(m & ~sol.chosen == 0) for m in masks})
         value, residual = float(start_val), 0.0
     else:
         full = np.concatenate(([1.0], y, [0.0]))

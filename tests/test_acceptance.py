@@ -7,13 +7,13 @@ solver is a lower estimate, so its criteria are one-sided by design.
 import functools
 import random
 
+import numpy as np
+
 from liftlab import (Q, SetVector, Solution, big_items, convex_combination,
                      decompose, extend, family_p_t, greedy, integer_to_moment,
                      lasserre_membership, lasserre_value, lp_value,
-                     make_instance,
-                     matrix_to_float, moment_matrix, psd_exact, psd_float,
-                     sa_gap_certificate,
-                     sa_linear_constraints, sa_lp_problem, sa_value, shift,
+                     make_instance, moment_matrix, psd_exact,
+                     sa_gap_certificate, sa_lp_problem, sa_value, shift,
                      simplex_exact,
                      uniform_gap_instance, verify_decomposition,
                      verify_gap_certificate, z_vector)
@@ -21,7 +21,7 @@ from liftlab.hierarchy import _sa_membership_dense
 from liftlab.simplex import LPProblem
 from liftlab.subsets import SubsetFamily, is_closed_under_shifting, submasks
 
-from conftest import rand_setvector
+from conftest import rand_setvector, sa_linear_constraints
 
 
 def _report(num, ok, detail):
@@ -252,7 +252,7 @@ def test_criterion_9_psd_exact_vs_float():
                 for c in range(r, d):
                     rows[r][c] = rows[c][r] = Q(rng.randint(-5, 5))
         exact = psd_exact(rows)
-        approx = psd_float(matrix_to_float(rows), 1e-9)
+        approx = np.linalg.eigvalsh(np.array(rows, dtype=float))[0] >= -1e-9
         if exact != approx:
             disagreements += 1
     ok = disagreements == 0

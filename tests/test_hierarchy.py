@@ -10,14 +10,15 @@ from liftlab import (Q, SetVector, Solution, certificate_alpha,
                      family_powerset, instance_to_json, integer_to_moment,
                      lasserre_membership, make_instance, mask_of,
                      moment_matrix, psd_exact, sa_gap_certificate,
-                     sa_linear_constraints, sa_membership, setvector_to_json,
+                     sa_membership, setvector_to_json,
                      uniform_gap_instance, verify_gap_certificate)
 from liftlab.cli import main
 from liftlab.hierarchy import (MembershipReport, _lasserre_membership_dense,
                                _lasserre_orbit_tests, _orbit_blocks,
                                _sa_membership_dense)
 
-from conftest import mixture_moment, point_mixture, rand_instance
+from conftest import (mixture_moment, point_mixture, rand_instance,
+                      sa_linear_constraints)
 from test_psd import fraction_witness
 
 

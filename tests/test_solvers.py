@@ -7,15 +7,15 @@ import pytest
 
 from liftlab import (LPProblem, Q, certificate_alpha, family_p_t, greedy,
                      lasserre_value, lp_value, make_instance, opt_solution,
-                     sa_linear_constraints, sa_lp_problem, sa_value,
+                     sa_lp_problem, sa_value,
                      signed_base, simplex_exact, uniform_gap_instance)
 
-from liftlab import simplex
+from liftlab import simplex, solvers
 from liftlab.hierarchy import _capacity_row, _disjoint_pairs
 from liftlab.solvers import (SA_DENSE_CAP, _barrier, _dense_problem, _forced_zero,
                              _orbit_problem, check_lasserre_size, sa_lp_size)
 
-from conftest import rand_instance
+from conftest import rand_instance, sa_linear_constraints
 
 
 def test_sa_value_level_one_is_the_base_lp(rng):
@@ -296,12 +296,16 @@ def test_lasserre_output_satisfies_the_box_localizers():
     est = lasserre_value(inst, 2, tol=0.1)
     assert est.value > 1.1  # the estimate leaves the integer optimum
     assert est.residual < 1e-7
+    # the point holds y_m at (1 << m) - 1; y_K = y_|K|
+    profile = [est.point[(1 << m) - 1] for m in range(5)]
     fam = family_p_t(4, 1).masks
+
+    def y(mask):
+        return profile[mask.bit_count()]
     for i in range(4):
         bit = 1 << i
-        lifted = np.array([[est.point[a | b | bit] for b in fam] for a in fam])
-        rest = np.array([[est.point[a | b] - est.point[a | b | bit] for b in fam]
-                         for a in fam])
+        lifted = np.array([[y(a | b | bit) for b in fam] for a in fam])
+        rest = np.array([[y(a | b) - y(a | b | bit) for b in fam] for a in fam])
         for mat in (lifted, rest):
             assert np.linalg.eigvalsh(mat)[0] >= -1e-6
 
@@ -313,8 +317,13 @@ def test_lasserre_validation():
     for tol in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             lasserre_value(inst, 2, tol=tol)
-    with pytest.raises(ValueError):
-        lasserre_value(uniform_gap_instance(30, "1/10"), 3)
+    # a uniform instance factors (t+1)^2 orbit-block rows once n >= 2t,
+    # whatever n is: t = 19 is the last level under the cap of 400
+    with pytest.raises(ValueError, match="orbit blocks at n=40, t=20 have "
+                                         "441 rows, over 400"):
+        lasserre_value(uniform_gap_instance(40, "1/10"), 20)
+    for n in (38, 1000):
+        check_lasserre_size(uniform_gap_instance(n, "1/10"), 19)
     with pytest.raises(ValueError):
         lasserre_value(inst, 2, max_sweeps=0)
     # n = 12, t = 3 off the uniform family: the dense blocks would hold
@@ -337,16 +346,13 @@ def test_lasserre_reduces_exactly_the_uniform_instances():
     for inst, uniform in cases:
         est = lasserre_value(inst, 1, tol=0.5, max_sweeps=300)
         assert any(reduced in n for n in est.notes) == uniform, inst
-        if uniform:  # the point moved, and is constant on each cardinality
+        if uniform:  # the point moved, and holds one entry per cardinality
             assert est.value > float(opt_solution(inst)[1])
-            by_size = {}
-            for m, v in est.point.items():
-                by_size.setdefault(m.bit_count(), set()).add(v)
-            assert all(len(vs) == 1 for vs in by_size.values()), by_size
+            assert list(est.point) == [(1 << m) - 1 for m in range(3)]
 
 
 def _barrier_value(build, inst, t):
-    c, blocks, degree, _ = build(inst, t, family_p_t(inst.n, 2 * t).masks)
+    c, blocks, degree, _, _ = build(inst, t)
     y, _, _, _ = _barrier(c, blocks, degree, 1e-8, 50000)
     return float(c @ y)
 
@@ -375,12 +381,62 @@ def test_lasserre_forced_zeros_are_dropped():
     # is 0 and the profile keeps y_1 alone; at t = 2 nothing is forced
     inst = uniform_gap_instance(8, "1/10")
     for t, free in ((3, 1), (2, 4)):
-        objective = _orbit_problem(inst, t, family_p_t(8, 2 * t).masks)[0]
+        objective = _orbit_problem(inst, t)[0]
         assert len(objective) == free
     # a single item filling the knapsack: cost {0} = C forces y_{0,1} = 0
     edge = make_instance([2, 1], [1, 1], 2)
     assert [m for m in family_p_t(2, 4).masks[1:]
             if _forced_zero(edge, m, 2)] == [0b11]
+
+
+def _level2_closed_form(eps):
+    delta = 1 - 2 * eps
+    return 1 + delta ** 3 / (4 - 3 * delta ** 2)
+
+
+def test_lasserre_uniform_t2_meets_the_closed_form_at_any_n():
+    # float evidence for Las_2(uniform(n, eps)) = 1 + d^3 / (4 - 3 d^2),
+    # d = 1 - 2 eps: a lower estimate, so at most the value, and within
+    # 1e-8 of it once the path completes at tol 1e-9
+    for eps in ("1/100", "1/20", "1/10", "1/5", "1/4", "2/5"):
+        closed = _level2_closed_form(float(Q(eps)))
+        for n in (4, 8, 200):
+            est = lasserre_value(uniform_gap_instance(n, eps), 2, tol=1e-9)
+            assert closed - 1e-8 <= est.value <= closed + 1e-9, (eps, n, est.describe())
+
+
+def test_lasserre_uniform_t3_at_two_hundred_items_is_one():
+    # a pair costs 2 > C = 9/5, and the moment minor then caps sum y_i at 1;
+    # the 0/1 start wins, its point averaged over item permutations
+    est = lasserre_value(uniform_gap_instance(200, "1/10"), 3)
+    assert est.value == 1.0, est.describe()
+    assert est.point == {0: 1.0, 1: 1 / 200, 3: 0.0, 7: 0.0, 15: 0.0,
+                         31: 0.0, 63: 0.0}
+
+
+def test_lasserre_uniform_path_never_enumerates_the_subsets(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("family_p_t called on the uniform path")
+    monkeypatch.setattr(solvers, "family_p_t", refuse)
+    est = lasserre_value(uniform_gap_instance(8, "1/10"), 2)
+    assert abs(est.value - 81 / 65) <= 1e-4, est.describe()
+    with pytest.raises(AssertionError):
+        lasserre_value(make_instance([1, 2], [3, 2], 2), 1)
+
+
+def test_lasserre_notes_a_completed_path_below_the_start():
+    # unit sizes and values, C = n - 1/2: OPT = n - 1. On these, rounding can
+    # end a completed path far below the 0/1 start, against its gap bound
+    flag = "more than tol below the 0/1 start"
+    for n, t in ((200, 3), (63, 5), (40, 10)):
+        inst = make_instance([1] * n, [1] * n, Q(2 * n - 1, 2))
+        est = lasserre_value(inst, t)
+        opt = float(opt_solution(inst)[1])
+        assert est.value >= opt
+        assert est.value > opt or any(flag in note for note in est.notes), (
+            n, t, est.describe())
+    est = lasserre_value(uniform_gap_instance(8, "1/10"), 2)
+    assert not any(flag in note for note in est.notes), est.describe()
 
 
 def test_lasserre_stall_case_returns_in_the_window():

@@ -91,12 +91,26 @@ def test_sa_rows_reach_past_the_search_cap():
     assert all(r.ratio == r.value for r in rows)
 
 
-def test_lasserre_cap_enforced_before_dispatch():
-    # |P_2| = 466 > 400 at n = 30
-    cfg = SweepConfig(family="uniform", n_values=(30,), eps_values=("1/10",),
-                      t_values=(2,), modes=("lasserre",))
-    with pytest.raises(ValueError, match="exceeds 400"):
+def test_lasserre_cap_enforced_before_dispatch(tmp_path):
+    # non-uniform n = 12, t = 3: |P_6| |P_3|^2 = 224396510 floats, over the
+    # dense cap; the whole sweep is refused, its t = 1 row included
+    path = tmp_path / "skewed.json"
+    path.write_text(instance_to_json(make_instance([1] * 11 + ["3/2"], [1] * 12,
+                                                   "19/10")), encoding="utf-8")
+    cfg = SweepConfig(family="files", files=(str(path),), t_values=(1, 3),
+                      modes=("lasserre",))
+    with pytest.raises(ValueError, match="hold 224396510 floats"):
         run_sweep(cfg)
+
+
+def test_uniform_lasserre_curve_at_two_hundred_items():
+    # the orbit path enumerates no subsets: n = 200 runs at every level
+    cfg = SweepConfig(family="uniform", n_values=(200,), eps_values=("1/10",),
+                      t_values=(2, 3, 4, 5), modes=("lasserre",))
+    rows = run_sweep(cfg)
+    assert [(r.t, r.status) for r in rows] == [(t, "approx") for t in range(2, 6)]
+    assert abs(float(rows[0].value) - 81 / 65) <= 1e-4
+    assert [r.value for r in rows[1:]] == ["1"] * 3
 
 
 def test_ratio_is_value_over_opt(tmp_path):
