@@ -198,12 +198,11 @@ def _orbit_differences(profile, size: int) -> list:
             for i in range(size + 1)]
 
 
-def _capacity_profile(x, inst: KnapsackInstance, top: int) -> list:
+def _capacity_profile(x, n: int, cap, c, top: int) -> list:
     """(g*y)_m = C x_m - c (m x_m + (n-m) x_{m+1}) for m = 0..top: the
-    capacity shift of a point with cardinality profile x on an instance
-    with equal sizes c. x_{n+1} reads as 0; its weight n - n is 0 anyway."""
-    n, cap, c = inst.n, inst.capacity, inst.sizes[0]
-    x = list(x) + [ZERO]
+    capacity shift of a cardinality profile x, rationals or int vectors, on
+    n items of size c. x_{n+1} reads as 0; its weight n - n is 0 anyway."""
+    x = list(x) + [0]
     return [cap * x[m] - c * (m * x[m] + (n - m) * x[m + 1])
             for m in range(top + 1)]
 
@@ -219,7 +218,8 @@ def _sa_orbit_tests(profile, inst: KnapsackInstance, t: int,
     orbit is reported at its first member with the margin every member has.
     The capacity profile comes from `_capacity_profile`.
     """
-    shifted = _capacity_profile(profile, inst, t - 1)
+    shifted = _capacity_profile(profile, inst.n, inst.capacity, inst.sizes[0],
+                                t - 1)
     report.reduced = True
     for kind, values, size in (("moment M_P(U)", profile, t),
                                ("constraint[0] M_P(W)(g*y)", shifted, t - 1)):
@@ -308,7 +308,8 @@ def _orbit_blocks(x, n: int, top: int) -> list:
     s being |I n J|. Schrijver's scaling C(n-2k, i-k)^(-1/2) on both sides
     is a positive diagonal congruence and is dropped, so the blocks stay
     rational. B_k occurs C(n, k) - C(n, k-1) times in M's spectrum.
-    x must hold x[0..min(2 top, n)].
+    x must hold x[0..min(2 top, n)], rationals or int vectors (numpy object
+    arrays): the blocks are linear in x.
     """
     blocks = []
     for k in range(min(top, n // 2) + 1):
@@ -319,30 +320,34 @@ def _orbit_blocks(x, n: int, top: int) -> list:
                 j = sizes[b]
                 rows[a][b] = rows[b][a] = sum(
                     (_schrijver_beta(n, i, j, k, s) * x[i + j - s]
-                     for s in range(max(0, i + j - n), i + 1)), ZERO)
+                     for s in range(max(0, i + j - n), i + 1)), 0)
         blocks.append(rows)
     return blocks
+
+
+def _orbit_matrices(x, n: int, cap, c, t: int) -> tuple:
+    """`_orbit_blocks` of M_{P_t}(y) and of M_{P_t-1}(g*y), whose entries
+    depend only on |I u J| = m: y_m = x[m] and `_capacity_profile` of x, for
+    x = [y_0..y_min(2t, n)], n items of size c and capacity C."""
+    shifted = _capacity_profile(x, n, cap, c, min(2 * t - 2, n))
+    return _orbit_blocks(x, n, t), _orbit_blocks(shifted, n, t - 1)
 
 
 def _lasserre_orbit_tests(profile, inst: KnapsackInstance, t: int,
                           report: MembershipReport):
     """The two PSD tests of lasserre_membership for a point with cardinality
-    profile [y_0, ..., y_min(2t, n)] and an instance with equal sizes c.
-
-    Both matrices then have entries that depend only on |I u J| = m: y_m
-    for the moment matrix over P_t(V) and, for the capacity localizer over
-    P_{t-1}(V), C y_m - c (m y_m + (n-m) y_{m+1}). Each is decided on its
-    `_orbit_blocks`; a failing matrix is reported once, with the pivot of
-    its first failing block as the margin.
+    profile [y_0, ..., y_min(2t, n)] and an instance with equal sizes c,
+    each decided on its blocks (`_orbit_matrices`); a failing matrix is
+    reported once, with the pivot of its first failing block as the margin.
     """
-    n = inst.n
-    shifted = _capacity_profile(profile, inst, min(2 * t - 2, n))
+    moment, localizer = _orbit_matrices(profile, inst.n, inst.capacity,
+                                        inst.sizes[0], t)
     report.reduced = True
-    for kind, witness, x, size in (("moment M_Pt(V)", (t,), profile, t),
-                                   ("constraint[0] M_Pt-1(V)(g*y)", (t - 1,),
-                                    shifted, t - 1)):
+    for kind, witness, blocks in (("moment M_Pt(V)", (t,), moment),
+                                  ("constraint[0] M_Pt-1(V)(g*y)", (t - 1,),
+                                   localizer)):
         bad = None
-        for block in _orbit_blocks(x, n, size):
+        for block in blocks:
             ok, margin = psd_exact_witness(block)
             report.checked += 1
             if not ok and bad is None:
@@ -351,22 +356,27 @@ def _lasserre_orbit_tests(profile, inst: KnapsackInstance, t: int,
             report.add(kind, witness, bad)
 
 
+def _dense_matrices(y: SetVector, shifted, t: int) -> tuple:
+    """M_{P_t}(y) and M_{P_t-1}(g*y) as row lists, the second read from
+    `shifted` (`_capacity_shift` of y's entries, rationals or vectors)."""
+    fam = family_p_t(y.n, t - 1).masks
+    return (moment_matrix(y, family_p_t(y.n, t)),
+            [[shifted(a | b) for b in fam] for a in fam])
+
+
 def _lasserre_dense_tests(y: SetVector, inst: KnapsackInstance, t: int,
                           report: MembershipReport):
     """The two PSD tests of lasserre_membership on the dense matrices, built
     and eliminated on `_on_integers`."""
-    n = inst.n
     ints, shifted, l_y, l_g = _on_integers(y, inst)
-    ok, bad = psd_exact_witness(moment_matrix(ints, family_p_t(n, t)))
-    report.checked += 1
-    if not ok:
-        report.add("moment M_Pt(V)", (t,), bad / l_y)
-
-    fam = family_p_t(n, t - 1).masks
-    ok, bad = psd_exact_witness([[shifted(a | b) for b in fam] for a in fam])
-    report.checked += 1
-    if not ok:
-        report.add("constraint[0] M_Pt-1(V)(g*y)", (t - 1,), bad / l_g)
+    moment, localizer = _dense_matrices(ints, shifted, t)
+    for kind, witness, matrix, scale in (
+            ("moment M_Pt(V)", (t,), moment, l_y),
+            ("constraint[0] M_Pt-1(V)(g*y)", (t - 1,), localizer, l_g)):
+        ok, bad = psd_exact_witness(matrix)
+        report.checked += 1
+        if not ok:
+            report.add(kind, witness, bad / scale)
 
 
 def lasserre_membership(y: SetVector, inst: KnapsackInstance, t: int) -> MembershipReport:

@@ -76,6 +76,21 @@ def _ratio_order(inst: KnapsackInstance) -> list[int]:
     return sorted(range(inst.n), key=lambda i: (-(inst.values[i] / inst.sizes[i]), i))
 
 
+def _fractional_greedy(sizes, values, cap, start: int = 0):
+    """Value of items start.. taken in order, each whole while it fits in
+    what is left of cap, then the fraction of the first that does not fit;
+    in ratio order it is the LP optimum."""
+    total = ZERO
+    for i in range(start, len(sizes)):
+        if sizes[i] <= cap:
+            cap -= sizes[i]
+            total += values[i]
+        else:
+            total += values[i] * cap / sizes[i]
+            break
+    return total
+
+
 def greedy(inst: KnapsackInstance) -> tuple[Solution, object]:
     """Pack by decreasing value/size ratio, stopping at the first item that
     does not fit (items after the stopping point are not considered)."""
@@ -111,22 +126,10 @@ def opt_solution(inst: KnapsackInstance) -> tuple[Solution, object]:
     values = [inst.values[i] for i in order]
     best = [ZERO, 0]
 
-    def bound(k, cap):
-        # fractional-greedy bound on the remaining suffix
-        total = ZERO
-        for i in range(k, n):
-            if sizes[i] <= cap:
-                cap -= sizes[i]
-                total += values[i]
-            else:
-                total += values[i] * cap / sizes[i]
-                break
-        return total
-
     def dfs(k, cap, acc, mask):
         if acc > best[0]:
             best[0], best[1] = acc, mask
-        if k == n or acc + bound(k, cap) <= best[0]:
+        if k == n or acc + _fractional_greedy(sizes, values, cap, k) <= best[0]:
             return
         if sizes[k] <= cap:
             dfs(k + 1, cap - sizes[k], acc + values[k], mask | (1 << order[k]))
@@ -138,18 +141,9 @@ def opt_solution(inst: KnapsackInstance) -> tuple[Solution, object]:
 
 def lp_value(inst: KnapsackInstance):
     """Exact optimum of the base LP, by fractional greedy in closed form."""
-    remaining = inst.capacity
-    total = ZERO
-    for i in _ratio_order(inst):
-        if remaining <= 0:
-            break
-        if inst.sizes[i] <= remaining:
-            remaining -= inst.sizes[i]
-            total += inst.values[i]
-        else:
-            total += inst.values[i] * remaining / inst.sizes[i]
-            break
-    return total
+    order = _ratio_order(inst)
+    return _fractional_greedy([inst.sizes[i] for i in order],
+                              [inst.values[i] for i in order], inst.capacity)
 
 
 def residual(inst: KnapsackInstance, fixed: dict[int, int]) -> tuple[KnapsackInstance, list[int]]:

@@ -26,7 +26,10 @@ ONE = Q(1)
 def rat(value) -> "Q":
     """Coerce ints, Fractions, mpqs or strings ("3/2", "1.5") to an exact rational."""
     if isinstance(value, str):
-        return Q(Fraction(value))
+        try:
+            return Q(Fraction(value))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     if isinstance(value, float):
         raise TypeError(f"refusing to coerce float {value!r}; pass a string or rational")
     if isinstance(value, bool):

@@ -16,13 +16,13 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .hierarchy import (_capacity_profile, _capacity_row, _disjoint_pairs,
-                        _orbit_blocks)
+from .hierarchy import (_capacity_row, _capacity_shift, _dense_matrices,
+                        _disjoint_pairs, _orbit_matrices)
 from .knapsack import KnapsackInstance, greedy, opt_solution
 from .psd import project_psd  # noqa: F401  unused here; perfbench/spans.py wraps it
-from .rationals import Q, ZERO, rat_str
+from .rationals import Q, ZERO, integer_row, rat_str
 from .simplex import LPProblem, simplex_exact
-from .subsets import count_p_t, family_p_t, indices_of, signed_base
+from .subsets import SetVector, count_p_t, family_p_t, indices_of, signed_base
 
 # rows x variables of the dense SA LP (`sa_lp_size`). Measured on a 2-core
 # x86-64 box, sizes 1 and one 3/2, capacity 19/10: n=12/t=3 (537,592)
@@ -211,14 +211,16 @@ def _forced_zero(inst: KnapsackInstance, mask: int, t: int) -> bool:
             >= inst.capacity)
 
 
-def _trim(tensors) -> list:
-    """Float coefficient tensors [A_0, A_1, ...] of blocks A_0 + sum_j y_j A_j,
-    without empty blocks and the rows and columns zero in every A_j (those
-    of forced zeros, which would hold a block singular)."""
+def _trim(matrices, scale=1) -> list:
+    """Float tensors [A_0, A_1, ...] of blocks A_0 + sum_j y_j A_j, from row
+    lists of coefficient vectors, divided by scale (int vectors are rounded
+    once); without empty blocks and the rows and columns zero in every A_j
+    (those of forced zeros, which would hold a block singular)."""
     import numpy as np
     out = []
-    for a in tensors:
-        a = np.asarray(a, dtype=float)
+    for rows in matrices:
+        a = np.ascontiguousarray(np.moveaxis(np.array(rows) / scale, -1, 0),
+                                 dtype=float)
         keep = np.flatnonzero(np.abs(a).sum(axis=(0, 1)))
         if keep.size:
             out.append(a[:, keep][:, :, keep])
@@ -230,31 +232,21 @@ def _dense_problem(inst: KnapsackInstance, t: int) -> tuple:
     per mask: 0 for y_0, j + 1 for variable j, -1 for a forced 0) of the
     level-t problem in the y_K, K in P_2t(V) nonempty and not forced to 0;
     the blocks are M_{P_t}(y) and M_{P_t-1}(g*y),
-    (g*y)_K = C y_K - sum_i c_i y_{K u i}."""
+    (g*y)_K = C y_K - sum_i c_i y_{K u i}, built once by the exact checker's
+    `_dense_matrices` on the point whose y_K is the float unit vector of
+    K's column (0 if forced): short sums of the instance data."""
     import numpy as np
-    n = inst.n
-    masks = family_p_t(n, 2 * t).masks
+    masks = family_p_t(inst.n, 2 * t).masks
     free = [m for m in masks[1:] if not _forced_zero(inst, m, t)]
     col = {m: j for j, m in enumerate([0] + free)}
-
-    def block(level, terms):  # entry (I, J) = sum of coef * y_{I u J u bit}
-        fam = family_p_t(n, level).masks
-        a = np.zeros((len(col), len(fam), len(fam)))
-        for r, ra in enumerate(fam):
-            for s, sb in enumerate(fam):
-                for bit, coef in terms:
-                    j = col.get(ra | sb | bit)
-                    if j is not None:
-                        a[j, r, s] += coef
-        return a
-
-    capacity = [(0, float(inst.capacity))] + [(1 << i, -float(c))
-                                              for i, c in enumerate(inst.sizes)]
+    column = np.array([col.get(m, -1) for m in masks])  # eye's row -1 is 0
+    y = SetVector(inst.n, dict(zip(masks, np.eye(len(col) + 1, len(col))[column])))
+    shifted = _capacity_shift(y.values, float(inst.capacity),
+                              [float(c) for c in inst.sizes])
     values = {1 << i: float(v) for i, v in enumerate(inst.values)}
     return (np.array([values.get(m, 0.0) for m in free]),
-            _trim([block(t, [(0, 1.0)]), block(t - 1, capacity)]),
-            np.array([m.bit_count() for m in free]), masks,
-            np.array([col.get(m, -1) for m in masks]))
+            _trim(_dense_matrices(y, shifted, t)),
+            np.array([m.bit_count() for m in free]), masks, column)
 
 
 def _orbit_problem(inst: KnapsackInstance, t: int) -> tuple:
@@ -263,25 +255,23 @@ def _orbit_problem(inst: KnapsackInstance, t: int) -> tuple:
     representative (1 << m) - 1 per m = 0..min(2t, n). Item permutations map
     the feasible set onto itself and keep the objective, so averaging an
     optimal point over them gives an optimal point of this form
-    (Gatermann-Parrilo 2004). The blocks are Schrijver's
-    (`hierarchy._orbit_blocks`) of the moment matrix and of the capacity
-    localizer (`_capacity_profile`), built on unit profiles: the exact
-    checker's code, in floats."""
+    (Gatermann-Parrilo 2004). The blocks are Schrijver's, built once by the
+    exact checker's `_orbit_matrices` on the profile whose y_m is the int
+    unit vector of m's column, with the capacity data on ints: the
+    coefficients grow like C(n, m)^3, past 2^53, and are rounded once."""
     import numpy as np
     n = inst.n
     top = min(2 * t, n)
     free = [m for m in range(1, top + 1)
             if not _forced_zero(inst, (1 << m) - 1, t)]
-    units = [[int(k == m) for k in range(top + 1)] for m in [0] + free]
-    moment = [_orbit_blocks(u, n, t) for u in units]
-    localizer = [_orbit_blocks(_capacity_profile(u, inst, min(2 * t - 2, n)),
-                               n, t - 1) for u in units]
     col = {m: j for j, m in enumerate([0] + free)}
+    column = np.array([col.get(m, -1) for m in range(top + 1)])
+    x = np.eye(len(col) + 1, len(col), dtype=object)[column]
+    (cap, c), scale = integer_row([inst.capacity, inst.sizes[0]])
+    moment, localizer = _orbit_matrices(x, n, cap, c, t)
     return (np.array([n * float(inst.values[0]) * (m == 1) for m in free]),
-            _trim([[units[b] for units in mats] for mats in (moment, localizer)
-                   for b in range(len(mats[0]))]),
-            np.array(free), [(1 << m) - 1 for m in range(top + 1)],
-            np.array([col.get(m, -1) for m in range(top + 1)]))
+            _trim(moment) + _trim(localizer, scale),
+            np.array(free), [(1 << m) - 1 for m in range(top + 1)], column)
 
 
 def _barrier(c, blocks, degree, tol: float, max_steps: int):

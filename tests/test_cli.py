@@ -296,6 +296,7 @@ def test_float_in_point_is_usage_error(inst_file, tmp_path, capsys):
     ('{"[]": "1", "[0]": "1/2", "[0]": "1/3", "[1]": "0"}', "subset [0] is given twice"),
     ('{"[]": "1", "0": "1/2", "[1]": "0"}', "point key '0' is not a list of item indices"),
     ('{"[]": "1", "[0": "1/2", "[1]": "0"}', "point key '[0' is not a list of item indices"),
+    ('{"[]": "1", "[0]": "1/0", "[1]": "0"}', "zero denominator in '1/0'"),
 ])
 def test_malformed_point_names_the_problem(inst_file, tmp_path, capsys, text, says):
     _, path = inst_file
@@ -373,6 +374,8 @@ def test_sweep_stdout_and_file_csv_agree(tmp_path, capsys):
     ('{"items": [{"size": "1", "value": "1"}]}', "instance has no 'capacity' key"),
     ('[{"size": "1", "value": "1"}]', "instance must be a JSON object"),
     ('{"capacity": "2", "items": 5}', "instance 'items' must be a list"),
+    ('{"capacity": "1/0", "items": [{"size": "1", "value": "1"}]}',
+     "zero denominator in '1/0'"),
 ])
 def test_malformed_instance_names_what_is_missing(tmp_path, capsys, text, says):
     path = tmp_path / "inst.json"
@@ -382,6 +385,16 @@ def test_malformed_instance_names_what_is_missing(tmp_path, capsys, text, says):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert says in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sa-cert", "--n", "10", "--eps", "1/0", "--t", "3", "--delta", "1/2"],
+    ["sweep", "--n", "4", "--eps", "1/0", "--t", "2"],
+])
+def test_zero_denominator_flag_is_usage_error(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "error: zero denominator in '1/0'\n"
 
 
 def test_sweep_json_keeps_a_value_whose_ratio_is_out_of_reach(tmp_path, capsys):

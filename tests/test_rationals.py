@@ -20,6 +20,11 @@ def test_rat_passes_through_exact_types():
     assert rat(Q(2, 3)) == Q(2, 3)
 
 
+def test_rat_names_a_zero_denominator():
+    with pytest.raises(ValueError, match="zero denominator in '3/0'"):
+        rat("3/0")
+
+
 def test_rat_refuses_floats():
     with pytest.raises(TypeError):
         rat(0.1)

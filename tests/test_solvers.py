@@ -11,7 +11,8 @@ from liftlab import (LPProblem, Q, certificate_alpha, family_p_t, greedy,
                      signed_base, simplex_exact, uniform_gap_instance)
 
 from liftlab import simplex, solvers
-from liftlab.hierarchy import _capacity_row, _disjoint_pairs
+from liftlab.hierarchy import (_capacity_profile, _capacity_row, _disjoint_pairs,
+                               _orbit_blocks)
 from liftlab.solvers import (SA_DENSE_CAP, _barrier, _dense_problem, _forced_zero,
                              _orbit_problem, check_lasserre_size, sa_lp_size)
 
@@ -366,6 +367,94 @@ def test_orbit_and_dense_barriers_agree_on_uniform_instances():
                 orbit = _barrier_value(_orbit_problem, inst, t)
                 dense = _barrier_value(_dense_problem, inst, t)
                 assert abs(orbit - dense) <= 1e-6, (eps, n, t, orbit, dense)
+
+
+def _trimmed(tensors):
+    """Each tensor without the rows and columns zero in every A_j; empty ones go."""
+    out = []
+    for a in tensors:
+        keep = np.flatnonzero(np.abs(a).sum(axis=(0, 1)))
+        if keep.size:
+            out.append(a[:, keep][:, :, keep])
+    return out
+
+
+def _orbit_tensors_per_moment(inst, t):
+    """The orbit blocks built one exact unit profile at a time, each entry
+    rounded by float(): the oracle of `_orbit_problem`'s one-pass build."""
+    n = inst.n
+    top = min(2 * t, n)
+    free = [m for m in range(1, top + 1)
+            if not _forced_zero(inst, (1 << m) - 1, t)]
+    units = [[int(k == m) for k in range(top + 1)] for m in [0] + free]
+    moment = [_orbit_blocks(u, n, t) for u in units]
+    localizer = [_orbit_blocks(_capacity_profile(u, n, inst.capacity, inst.sizes[0],
+                                                 min(2 * t - 2, n)), n, t - 1)
+                 for u in units]
+    return _trimmed([np.array([[[float(v) for v in row] for row in per_unit[b]]
+                               for per_unit in mats])
+                     for mats in (moment, localizer) for b in range(len(mats[0]))])
+
+
+def _dense_tensors_per_entry(inst, t):
+    """The dense blocks filled entry by entry from the capacity terms: the
+    oracle of `_dense_problem`'s build on the exact checker's matrices."""
+    n = inst.n
+    free = [m for m in family_p_t(n, 2 * t).masks[1:] if not _forced_zero(inst, m, t)]
+    col = {m: j for j, m in enumerate([0] + free)}
+
+    def block(level, terms):  # entry (I, J) = sum of coef * y_{I u J u bit}
+        fam = family_p_t(n, level).masks
+        a = np.zeros((len(col), len(fam), len(fam)))
+        for r, ra in enumerate(fam):
+            for s, sb in enumerate(fam):
+                for bit, coef in terms:
+                    j = col.get(ra | sb | bit)
+                    if j is not None:
+                        a[j, r, s] += coef
+        return a
+
+    capacity = [(0, float(inst.capacity))] + [(1 << i, -float(c))
+                                              for i, c in enumerate(inst.sizes)]
+    return _trimmed([block(t, [(0, 1.0)]), block(t - 1, capacity)])
+
+
+def _same_tensors(got, want):
+    return len(got) == len(want) and all(
+        a.shape == b.shape and np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_orbit_blocks_are_built_once_and_rounded_once():
+    # one pass on int unit vectors gives the tensors of one exact pass per
+    # free moment, bit for bit, though Schrijver's coefficients pass 2^53
+    cases = [(uniform_gap_instance(n, eps), t) for n in (3, 8, 40, 200)
+             for eps in ("1/10", "1/4") for t in range(1, min(n, 5) + 1)]
+    cases += [(make_instance([1] * n, [1] * n, Q(2 * n - 1, 2)), t)
+              for n, t in ((200, 3), (63, 5), (40, 10))]
+    for inst, t in cases:
+        assert _same_tensors(_orbit_problem(inst, t)[1],
+                             _orbit_tensors_per_moment(inst, t)), (inst.n, t)
+
+
+def test_dense_blocks_are_the_exact_checkers_matrices(rng):
+    for _ in range(20):
+        n = rng.randint(1, 7)
+        inst = rand_instance(rng, n)
+        for t in range(1, min(n, 3) + 1):
+            if t == 3 and n > 6:
+                continue
+            assert _same_tensors(_dense_problem(inst, t)[1],
+                                 _dense_tensors_per_entry(inst, t)), (inst, t)
+
+
+def test_lasserre_uniform_build_at_the_orbit_cap_is_fast():
+    # (t+1)^2 = 400 rows at t = 19: one build of the blocks, not one per
+    # free moment (8.7 to 11.4 s on a 2-core x86-64 box)
+    inst = make_instance([1] * 40, [1] * 40, 38)
+    start = time.perf_counter()
+    est = lasserre_value(inst, 19)
+    assert time.perf_counter() - start < 5
+    assert est.value == 38.0, est.describe()
 
 
 def test_lasserre_uniform8_t2_reaches_81_over_65():
