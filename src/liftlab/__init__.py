@@ -27,7 +27,7 @@ from .subsets import (SetVector, SubsetFamily, extend, family_p_t,
                       family_powerset, indices_of, is_closed_under_shifting,
                       mask_of, moment_matrix, restrict_reindex,
                       setvector_from_json, setvector_to_json, shift,
-                      signed_base, submasks, w_normalize, z_vector)
+                      signed_base, submasks, z_vector)
 from .sweep import ResultRow, SweepConfig, emit_csv, run_sweep
 
 __version__ = "0.1.0"
@@ -35,8 +35,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CertificateCheck", "DecompositionResult", "EigenConvergenceError",
     "KnapsackInstance", "LPInfeasible", "LPProblem", "LPUnbounded",
-    "LasserreEstimate",
-    "MembershipReport", "ONE", "Q", "ResultRow",
+    "LasserreEstimate", "MembershipReport", "ONE", "Q", "ResultRow",
     "SetVector", "Solution", "SubsetFamily", "SweepConfig",
     "Violation", "ZERO", "big_items", "certificate_alpha",
     "certificate_membership", "convex_combination", "decompose",
@@ -49,7 +48,6 @@ __all__ = [
     "restrict_reindex", "run_sweep", "sa_gap_certificate",
     "sa_lp_problem", "sa_membership", "sa_value",
     "setvector_from_json", "setvector_to_json", "shift", "signed_base",
-    "simplex_exact", "submasks", "uniform_gap_instance",
-    "vanishing_condition", "verify_decomposition", "verify_gap_certificate",
-    "w_normalize", "z_vector",
+    "simplex_exact", "submasks", "uniform_gap_instance", "vanishing_condition",
+    "verify_decomposition", "verify_gap_certificate", "z_vector",
 ]

@@ -10,7 +10,7 @@ from .hierarchy import MembershipReport, lasserre_membership
 from .knapsack import KnapsackInstance, greedy, opt_solution, residual
 from .rationals import ZERO, ONE
 from .subsets import (SetVector, extend, family_p_t, indices_of, mask_of,
-                      restrict_reindex, submasks, w_normalize, z_vector)
+                      restrict_reindex, submasks, z_vector)
 
 MAX_SPLIT_SET = 16
 
@@ -44,25 +44,33 @@ def big_items(inst: KnapsackInstance, k: int) -> int:
 
 
 def check_split(inst: KnapsackInstance, s_mask: int, k: int, t: int):
-    """Reject split arguments that no input point could satisfy."""
+    """Reject splits no point satisfies, or whose parts cannot be verified."""
     if not 1 <= k < t:
         raise ValueError("need 1 <= k < t")
     if s_mask.bit_count() > MAX_SPLIT_SET:
         raise ValueError(f"|S| capped at {MAX_SPLIT_SET}")
     if s_mask >> inst.n:
         raise ValueError("S outside the ground set")
+    rest = indices_of(((1 << inst.n) - 1) & ~s_mask)
+    if 0 < len(rest) < t - k:
+        raise ValueError(f"items {rest} outside S are too few for the "
+                         f"residual check at level t-k = {t - k}")
 
 
 def decompose(y: SetVector, inst: KnapsackInstance, s_mask: int,
               k: int, t: int) -> DecompositionResult:
     """Split y (in La_t, vanishing on |I n S| >= k) into sum of z^X_0 * w^X.
 
-    Exact-rational inputs only. Guarantees: weights positive and summing
-    to 1, and sum weight * w^X reproducing y on P_{2t-2k}(V). The weights
-    z^X_0 sum to y_0 identically, since the indicator polynomials of the
-    X <= S sum to 1, so with y_0 = 1 checked first they sum to 1 with no
-    further test. A negative weight signals the input was not
-    Lasserre-feasible and is an error.
+    Exact rationals only. The weights z^X_0 sum to y_0 = 1 identically (the
+    indicator polynomials of the X <= S sum to 1); a negative one means y is
+    not Lasserre-feasible, an error. With z^X_I = sum_{L <= S\\X} (-1)^|L|
+    y_{I u X u L}, one `z_vector` call per |X| < k on the masks outside S
+    gives every part, by two identities:
+    - only |X| < k carries weight: each X u L meets S in >= |X| items, so
+      for |X| >= k each term of z^X_0 is a vanishing entry (checked first;
+      entries not stored read 0 through `extend`);
+    - with J = I n S, z^X_I = z^X_{I\\S} if J <= X; else the terms for L
+      and L ^ {j}, j in J\\X, cancel. So w^X_I = [J <= X] z^X_{I\\S} / z^X_0.
     """
     check_split(inst, s_mask, k, t)
     if not vanishing_condition(y, s_mask, k):
@@ -70,18 +78,20 @@ def decompose(y: SetVector, inst: KnapsackInstance, s_mask: int,
     if y.get(0) != 1:
         raise ValueError("expected a normalized lifted point (y_0 = 1)")
     yext = extend(y)
-    target = family_p_t(inst.n, 2 * (t - k))
+    target = family_p_t(inst.n, 2 * (t - k)).masks
+    outside = [m for m in target if not m & s_mask]
     parts = []
-    for x_mask in sorted(submasks(s_mask)):
-        z = z_vector(yext, s_mask, x_mask, masks=target.masks)
+    for x_mask in sorted(x for x in submasks(s_mask) if x.bit_count() < k):
+        z = z_vector(yext, s_mask, x_mask, masks=outside)
         weight = z[0]
         if weight < 0:
             raise ValueError(
                 f"negative weight {weight} for X={indices_of(x_mask)}: "
                 "input is not Lasserre-feasible")
-        if weight == 0:
-            continue
-        parts.append((x_mask, weight, w_normalize(z)))
+        if weight > 0:  # an I meeting S\X has w^X_I = 0
+            w = {m: ZERO if m & s_mask & ~x_mask else z[m & ~s_mask] / weight
+                 for m in target}
+            parts.append((x_mask, weight, SetVector(inst.n, w)))
     return DecompositionResult(s_mask, k, t, tuple(parts))
 
 

@@ -227,14 +227,6 @@ def z_vector(yext: SetVector, s_mask: int, x_mask: int, masks=None) -> SetVector
     return SetVector(yext.n, values)
 
 
-def w_normalize(z: SetVector) -> SetVector:
-    """z / z_0 when z_0 != 0, the all-zero vector otherwise."""
-    z_empty = z.get(0)
-    if z_empty == 0:
-        return SetVector(z.n, {m: ZERO for m in z.values}, z.extended)
-    return SetVector(z.n, {m: v / z_empty for m, v in z.values.items()}, z.extended)
-
-
 def moment_matrix(y: SetVector, family: SubsetFamily) -> list[list]:
     """M_T(y) as row lists: entry (I, J) is y_{I u J} over the family's order."""
     masks = family.masks

@@ -46,13 +46,16 @@ class SweepConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "SweepConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        bad = set(obj) - known
+        if not isinstance(obj, dict):
+            raise ValueError("sweep config must be a JSON object")
+        bad = set(obj) - set(cls.__dataclass_fields__)
         if bad:
             raise ValueError(f"unknown config keys: {sorted(bad)}")
-        cfg = cls(**{k: tuple(v) if isinstance(v, list) else v
-                     for k, v in obj.items()})
-        return cfg
+        for key in ("files", "n_values", "eps_values", "t_values", "modes"):
+            if key in obj and not isinstance(obj[key], list):
+                raise ValueError(f"config key {key!r} must be a list")
+        return cls(**{k: tuple(v) if isinstance(v, list) else v
+                      for k, v in obj.items()})
 
     def validate(self) -> "SweepConfig":
         if self.family not in ("uniform", "files"):
@@ -140,11 +143,8 @@ def _decompose_parts(inst: KnapsackInstance, t: int) -> int:
         raise ValueError("decompose mode needs t >= 2")
     k = 1 if t == 2 else 2
     s_mask = big_items(inst, t - 1)
-    points = [0]
-    for i in range(inst.n):
-        m = 1 << i
-        if inst.is_feasible(m) and (k > 1 or not m & s_mask):
-            points.append(m)
+    points = [0] + [1 << i for i in range(inst.n) if inst.is_feasible(1 << i)
+                    and (k > 1 or not s_mask >> i & 1)]
     w = Q(1, len(points))
     y = convex_combination(
         [(w, integer_to_moment(inst, Solution(m), 2 * t)) for m in points])

@@ -2,9 +2,9 @@ import json
 
 import pytest
 
-from liftlab import (Q, SetVector, Solution, family_p_t, instance_to_json,
-                     integer_to_moment, make_instance, setvector_to_json,
-                     uniform_gap_instance)
+from liftlab import (Q, SetVector, Solution, convex_combination, family_p_t,
+                     instance_to_json, integer_to_moment, make_instance,
+                     setvector_to_json, uniform_gap_instance)
 from liftlab.cli import main
 
 
@@ -180,6 +180,29 @@ def test_decompose_usage_errors_exit_two(tmp_path, capsys, flags):
     assert len(err) == 1 and err[0].startswith("error:")
     if "-1" in flags:
         assert "-1" in err[0]
+
+
+def test_decompose_with_too_few_items_outside_s_exits_two(tmp_path, capsys):
+    # S = {0, 1, 2} leaves item 3 alone outside it, but the residual check
+    # of the parts runs at level t-k = 2; a sweep row reads the same error
+    inst = make_instance([3, 1, 1, 3], [5, 4, 4, 1], 4)
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(instance_to_json(inst), encoding="utf-8")
+    y = convex_combination([(Q(1, 2), integer_to_moment(inst, Solution(m), 6))
+                            for m in (0, 0b1000)])
+    point = tmp_path / "pt.json"
+    point.write_text(setvector_to_json(y), encoding="utf-8")
+    code = main(["decompose", "--instance", str(inst_path), "--point",
+                 str(point), "--t", "3", "--k", "1", "--s", "0,1,2"])
+    assert code == 2
+    says = "items [3] outside S are too few for the residual check at level t-k = 2"
+    assert capsys.readouterr().err.splitlines() == [f"error: {says}"]
+    # at t = 4 the sweep takes k = 2 and S = the items worth more than OPT/3
+    code = main(["sweep", "--family", "files", "--files", str(inst_path),
+                 "--t", "4", "--modes", "decompose", "--json"])
+    assert code == 0
+    (row,) = json.loads(capsys.readouterr().out)
+    assert row["status"] == "error" and row["error"] == f"ValueError: {says}"
 
 
 def test_missing_file_is_usage_error(capsys):

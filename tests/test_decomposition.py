@@ -4,13 +4,14 @@ import random
 import pytest
 
 from liftlab import (Q, DecompositionResult, SetVector, Solution, big_items,
-                     decompose, integer_to_moment, lasserre_membership,
-                     lp_value, make_instance, mask_of, opt_solution, residual,
-                     uniform_gap_instance, vanishing_condition,
-                     verify_decomposition)
+                     decompose, extend, family_p_t, integer_to_moment,
+                     lasserre_membership, lp_value, make_instance, mask_of,
+                     opt_solution, residual, uniform_gap_instance,
+                     vanishing_condition, verify_decomposition)
 from liftlab.subsets import indices_of, submasks, z_vector
 
-from conftest import mixture_moment, point_mixture, rand_instance, rand_setvector
+from conftest import (mixture_moment, point_mixture, rand_instance, rand_rat,
+                      rand_setvector)
 
 
 def constrained_mixture(rng, inst, s_mask, k, depth):
@@ -20,6 +21,72 @@ def constrained_mixture(rng, inst, s_mask, k, depth):
     pts = rng.sample(pool, k=min(3, len(pool)))
     weighted = point_mixture(rng, pts)
     return mixture_moment(inst, weighted, depth), weighted
+
+
+def oracle_decompose(y, inst, s_mask, k, t):
+    """The decomposition by its definition: z^X on all of P_{2t-2k}(V) for
+    every X <= S, parts of weight 0 skipped, each z^X divided by z^X_0."""
+    yext = extend(y)
+    target = family_p_t(inst.n, 2 * (t - k)).masks
+    parts = []
+    for x_mask in sorted(submasks(s_mask)):
+        z = z_vector(yext, s_mask, x_mask, masks=target)
+        if z[0] < 0:
+            raise ValueError(
+                f"negative weight {z[0]} for X={indices_of(x_mask)}: "
+                "input is not Lasserre-feasible")
+        if z[0] != 0:
+            parts.append((x_mask, z[0], {m: v / z[0] for m, v in z.values.items()}))
+    return parts
+
+
+def outcome(split, *args):
+    """(parts as (X, weight, w values)) or the ValueError message of split."""
+    try:
+        parts = split(*args)
+    except ValueError as exc:
+        return str(exc)
+    if isinstance(parts, DecompositionResult):
+        parts = [(x, wt, w.values) for x, wt, w in parts.parts]
+    return parts
+
+
+def rational_instance(rng, n):
+    sizes = [Q(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(n)]
+    values = [Q(rng.randint(1, 9), rng.randint(1, 3)) for _ in range(n)]
+    capacity = max(sizes) + Q(rng.randint(0, 12), rng.randint(1, 3))
+    return make_instance(sizes, values, capacity)
+
+
+def test_decompose_matches_the_definitional_oracle():
+    # mixtures must split alike; random vectors that vanish on |I n S| >= k
+    # must split alike or fail with the same negative weight
+    rng = random.Random(20)
+    seen = set()
+    for trial in range(90):
+        n = rng.randint(3, 5)
+        inst = rand_instance(rng, n) if trial % 2 else rational_instance(rng, n)
+        k = rng.choice([1, 2, 3])
+        t = rng.randint(k + 1, 4)
+        room = n - (t - k)  # a partial S leaves t-k or more items outside it
+        shape = rng.choice(["empty", "partial", "whole"] if room else ["empty", "whole"])
+        s_mask = {"empty": 0, "whole": (1 << n) - 1}.get(shape)
+        if shape == "partial":
+            s_mask = mask_of(rng.sample(range(n), rng.randint(1, room)))
+        if trial % 3:
+            y, _ = constrained_mixture(rng, inst, s_mask, k, 2 * t)
+        else:
+            values = {m: Q(0) if (m & s_mask).bit_count() >= k else rand_rat(rng)
+                      for m in family_p_t(n, 2 * t).masks}
+            values[0] = Q(1)
+            y = SetVector(n, values)
+        got = outcome(decompose, y, inst, s_mask, k, t)
+        assert got == outcome(oracle_decompose, y, inst, s_mask, k, t), (trial, shape)
+        seen.add((shape, k, isinstance(got, str)))
+    # every S shape at every k, with both a split and a negative weight
+    assert {(shape, k) for shape, k, _ in seen} == {
+        (shape, k) for shape in ("empty", "partial", "whole") for k in (1, 2, 3)}
+    assert {failed for _, _, failed in seen} == {True, False}
 
 
 def test_big_items_threshold():
@@ -131,8 +198,10 @@ def test_negative_weight_signals_infeasible_input():
         values[1 << i] = Q(3, 5)
     y = SetVector(n, values)
     assert vanishing_condition(y, 0b0011, k)
-    with pytest.raises(ValueError, match="not Lasserre-feasible"):
+    with pytest.raises(ValueError, match="not Lasserre-feasible") as exc:
         decompose(y, inst, 0b0011, k, t)
+    # the same message, naming the same X, as the definitional split
+    assert str(exc.value) == outcome(oracle_decompose, y, inst, 0b0011, k, t)
 
 
 def test_objective_bounded_by_conditioned_residuals(rng):

@@ -8,7 +8,7 @@ from liftlab import (Q, SetVector, SubsetFamily, extend, family_p_t,
                      family_powerset, indices_of, is_closed_under_shifting,
                      mask_of, moment_matrix, restrict_reindex,
                      setvector_from_json, setvector_to_json, shift,
-                     signed_base, submasks, w_normalize, z_vector)
+                     signed_base, submasks, z_vector)
 from liftlab.subsets import canon_key
 
 from conftest import rand_setvector
@@ -130,14 +130,6 @@ def test_z_vector_requires_extension():
     y = SetVector(2, {m: Q(1) for m in range(4)})
     with pytest.raises(ValueError):
         z_vector(y, 0b01, 0b01)
-
-
-def test_w_normalize():
-    z = SetVector(2, {0: Q(1, 2), 0b01: Q(1, 4)})
-    w = w_normalize(z)
-    assert w[0] == 1 and w[0b01] == Q(1, 2)
-    zero = w_normalize(SetVector(2, {0: Q(0), 0b01: Q(0)}))
-    assert zero[0b01] == 0
 
 
 def test_moment_matrix_entries_and_symmetry(rng):

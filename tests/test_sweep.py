@@ -1,10 +1,12 @@
 import math
+import time
 
 import pytest
 
-from liftlab import Q, instance_to_json, lp_value, make_instance, rat_str
-from liftlab.sweep import (CSV_HEADER, ResultRow, SweepConfig, emit_csv,
-                           rows_to_csv_text, run_sweep)
+from liftlab import (Q, instance_to_json, lp_value, make_instance, rat_str,
+                     uniform_gap_instance)
+from liftlab.sweep import (CSV_HEADER, ResultRow, SweepConfig, _decompose_parts,
+                           emit_csv, rows_to_csv_text, run_sweep)
 
 
 def uniform_cert_value(n, eps, t):
@@ -58,6 +60,25 @@ def test_config_validation():
 def test_from_dict_rejects_unknown_keys():
     with pytest.raises(ValueError):
         SweepConfig.from_dict({"n_values": [4], "delta": "1/4"})
+    # a config of the wrong shape names what is wrong, not a symptom of it
+    for obj, says in [([1], "sweep config must be a JSON object"),
+                      ({"files": "inst.json"}, "config key 'files' must be a list"),
+                      ({"modes": "sa-lp"}, "config key 'modes' must be a list"),
+                      ({"n_values": 6}, "config key 'n_values' must be a list"),
+                      ({"eps_values": "1/10"}, "config key 'eps_values' must be a list"),
+                      ({"t_values": 2}, "config key 't_values' must be a list")]:
+        with pytest.raises(ValueError) as exc:
+            SweepConfig.from_dict(obj)
+        assert str(exc.value) == says
+
+
+def test_decompose_rows_on_the_gap_family_are_fast():
+    # every item of uniform(10, 1/10) is big, so S is the ground set: the
+    # split visits the 11 X with |X| < 2, not all 1024
+    inst = uniform_gap_instance(10, "1/10")
+    start = time.perf_counter()
+    assert [_decompose_parts(inst, t) for t in (3, 4)] == [11, 11]
+    assert time.perf_counter() - start < 5
 
 
 def test_caps_enforced_before_dispatch(tmp_path):
