@@ -55,6 +55,8 @@ def check_split(inst: KnapsackInstance, s_mask: int, k: int, t: int):
     if 0 < len(rest) < t - k:
         raise ValueError(f"items {rest} outside S are too few for the "
                          f"residual check at level t-k = {t - k}")
+    if t - k > inst.n:
+        raise ValueError(f"level t-k = {t - k} exceeds n = {inst.n}")
 
 
 def decompose(y: SetVector, inst: KnapsackInstance, s_mask: int,

@@ -297,13 +297,18 @@ def _schrijver_beta(n: int, i: int, j: int, k: int, s: int) -> int:
                for u in range(max(s, k), min(i, j) + 1))
 
 
+def _orbit_layout(n: int, top: int) -> list:
+    """Row ranges of Schrijver's blocks over P_top([n]), in order: block
+    k = 0..min(top, n//2) has rows and columns i = k..min(top, n-k)."""
+    return [range(k, min(top, n - k) + 1) for k in range(min(top, n // 2) + 1)]
+
+
 def _orbit_blocks(x, n: int, top: int) -> list:
     """Schrijver's blocks of M[I, J] = x[|I u J|] over P_top([n]).
 
     M is invariant under item permutations, and it is PSD iff every
-    block B_k, k = 0..min(top, n//2), is PSD (Schrijver 2005, Terwilliger
-    algebra of the Boolean lattice), with rows and columns
-    i, j = k..min(top, n-k) and
+    block B_k is PSD (Schrijver 2005, Terwilliger algebra of the Boolean
+    lattice), with the rows and columns i, j of `_orbit_layout` and
         B_k[i, j] = sum_s beta^s_{i,j,k} x[i+j-s],  max(0, i+j-n) <= s <= min(i, j),
     s being |I n J|. Schrijver's scaling C(n-2k, i-k)^(-1/2) on both sides
     is a positive diagonal congruence and is dropped, so the blocks stay
@@ -312,8 +317,7 @@ def _orbit_blocks(x, n: int, top: int) -> list:
     arrays): the blocks are linear in x.
     """
     blocks = []
-    for k in range(min(top, n // 2) + 1):
-        sizes = range(k, min(top, n - k) + 1)
+    for k, sizes in enumerate(_orbit_layout(n, top)):
         rows = [[None] * len(sizes) for _ in sizes]
         for a, i in enumerate(sizes):
             for b in range(a, len(sizes)):

@@ -1,12 +1,11 @@
 """Exact rational arithmetic helpers.
 
-All algebra in this package is exact. gmpy2.mpq is used when available,
-otherwise the stdlib fractions.Fraction. Both types interoperate and
-compare equal, so callers may pass either. The hot loops depend on
-neither: they clear denominators once and run on Python ints. The
-simplex and the PSD elimination keep integer rows, each over its own
-positive denominator; the dense membership checks scale the point and
-the capacity constraint by their common denominators (`integer_row`).
+All algebra in this package is exact, in the stdlib fractions.Fraction
+(exported as Q) and Python ints. The hot loops clear denominators once
+and run on ints. The simplex and the PSD elimination keep integer rows,
+each over its own positive denominator; the dense membership checks
+scale the point and the capacity constraint by their common
+denominators (`integer_row`).
 """
 
 from __future__ import annotations
@@ -14,27 +13,23 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-try:
-    from gmpy2 import mpq as Q
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    Q = Fraction
-
+Q = Fraction
 ZERO = Q(0)
 ONE = Q(1)
 
 
-def rat(value) -> "Q":
-    """Coerce ints, Fractions, mpqs or strings ("3/2", "1.5") to an exact rational."""
+def rat(value) -> Fraction:
+    """Coerce ints, Fractions or strings ("3/2", "1.5") to a Fraction."""
     if isinstance(value, str):
         try:
-            return Q(Fraction(value))
+            return Fraction(value)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {value!r}") from None
     if isinstance(value, float):
         raise TypeError(f"refusing to coerce float {value!r}; pass a string or rational")
     if isinstance(value, bool):
         raise TypeError(f"refusing to coerce bool {value!r}; pass a string or rational")
-    return Q(value)
+    return Fraction(value)
 
 
 def rat_str(value) -> str:

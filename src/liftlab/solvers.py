@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 from .hierarchy import (_capacity_row, _capacity_shift, _dense_matrices,
-                        _disjoint_pairs, _orbit_matrices)
+                        _disjoint_pairs, _orbit_layout, _orbit_matrices)
 from .knapsack import KnapsackInstance, greedy, opt_solution
 from .psd import project_psd  # noqa: F401  unused here; perfbench/spans.py wraps it
 from .rationals import Q, ZERO, integer_row, rat_str
@@ -78,7 +78,7 @@ def sa_lp_problem(inst: KnapsackInstance, t: int) -> LPProblem:
 
 
 def _uniform_sa_problem(inst: KnapsackInstance, t: int) -> LPProblem:
-    """The level-t SA LP of a uniform instance in Moebius coordinates.
+    """The level-t SA LP of a uniform instance in level masses.
 
     Permuting items maps the LP onto itself and keeps the objective, so
     the average of an optimal y over all permutations is optimal
@@ -98,17 +98,22 @@ def _uniform_sa_problem(inst: KnapsackInstance, t: int) -> LPProblem:
       (C' - i) z_i + (C' - i - n + T - 1) z_{i+1} >= 0;
     - for t > n the dense LP has its capacity rows at |I u J| = n, where
       no item is outside: (C' - i) z_i >= 0.
+    Scaling variables and rows by positive factors keeps the optimum, so
+    the LP is solved in the level masses u_i = C(T, i) z_i, free of binomial
+    coefficients: sum_i u_i = 1, objective n v sum_{j>=1} (j/T) u_j, and
+    each row times C(T, i) (T - i) = (i+1) C(T, i+1) (only C(T, i) for t > n,
+    where T - i = 0 at i = n) reads
+    (C' - i) (T - i) u_i + (i + 1) (C' - i - n + T - 1) u_{i+1} >= 0.
     """
     n = inst.n
     top = min(t, n)
     ratio = inst.capacity / inst.sizes[0]
-    problem = LPProblem({j: n * inst.values[0] * math.comb(top - 1, j - 1)
+    problem = LPProblem({j: n * inst.values[0] * Q(j, top)
                          for j in range(1, top + 1)})
-    problem.add({i: Q(math.comb(top, i)) for i in range(top + 1)}, "==", 1)
+    problem.add(dict.fromkeys(range(top + 1), 1), "==", 1)
     for i in range(min(t - 1, n) + 1):
-        row = {i: ratio - i}
-        if t <= n:
-            row[i + 1] = ratio - i - (n - top + 1)
+        row = ({i: (ratio - i) * (top - i), i + 1: (i + 1) * (ratio - i - n + top - 1)}
+               if t <= n else {i: ratio - i})
         row = {j: c for j, c in row.items() if c != 0}
         if row:
             problem.add(row, ">=", 0)
@@ -140,12 +145,6 @@ def check_sa_size(inst: KnapsackInstance, t: int) -> None:
                          f"{nvars} variables, over {SA_DENSE_CAP}")
 
 
-def _orbit_rows(n: int, top: int) -> int:
-    """Rows of Schrijver's blocks of a matrix over P_top([n]) (`_orbit_blocks`):
-    block k = 0..min(top, n//2) has rows k..min(top, n-k)."""
-    return sum(min(top, n - k) - k + 1 for k in range(min(top, n // 2) + 1))
-
-
 def check_lasserre_size(inst: KnapsackInstance, t: int) -> None:
     """Raise ValueError if lasserre_value(inst, t) would factor blocks of
     more than LASSERRE_DIM_CAP rows in all or, off the uniform family, hold
@@ -155,7 +154,7 @@ def check_lasserre_size(inst: KnapsackInstance, t: int) -> None:
     the tensor cap is the tighter one: |P_t| > 400 gives
     |P_2t| |P_t|^2 > 6.4e7."""
     if inst.is_uniform():
-        rows = _orbit_rows(inst.n, t) + _orbit_rows(inst.n, t - 1)
+        rows = sum(len(r) for top in (t, t - 1) for r in _orbit_layout(inst.n, top))
         if rows > LASSERRE_DIM_CAP:
             raise ValueError(f"orbit blocks at n={inst.n}, t={t} have {rows} "
                              f"rows, over {LASSERRE_DIM_CAP}")

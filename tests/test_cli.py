@@ -205,6 +205,28 @@ def test_decompose_with_too_few_items_outside_s_exits_two(tmp_path, capsys):
     assert row["status"] == "error" and row["error"] == f"ValueError: {says}"
 
 
+def test_decompose_above_n_exits_two(tmp_path, capsys):
+    # S = V leaves nothing for the residual check, but the parts would still
+    # be checked at level t-k = 3 > n = 2; a sweep row reads the same error
+    inst = uniform_gap_instance(2, "1/10")
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(instance_to_json(inst), encoding="utf-8")
+    point = tmp_path / "pt.json"
+    point.write_text(setvector_to_json(integer_to_moment(inst, Solution(0), 8)),
+                     encoding="utf-8")
+    code = main(["decompose", "--instance", str(inst_path), "--point",
+                 str(point), "--t", "4", "--k", "1", "--s", "0,1"])
+    assert code == 2
+    says = "level t-k = 3 exceeds n = 2"
+    assert capsys.readouterr().err.splitlines() == [f"error: {says}"]
+    # at t = 5 the sweep takes k = 2
+    code = main(["sweep", "--family", "files", "--files", str(inst_path),
+                 "--t", "5", "--modes", "decompose", "--json"])
+    assert code == 0
+    (row,) = json.loads(capsys.readouterr().out)
+    assert row["status"] == "error" and row["error"] == f"ValueError: {says}"
+
+
 def test_missing_file_is_usage_error(capsys):
     code = main(["sa-value", "--instance", "/nonexistent.json", "--t", "1"])
     assert code == 2

@@ -1,8 +1,13 @@
 import ast
+import fractions
+import importlib
 import json
 import os
+import re
 import subprocess
 import sys
+
+import pytest
 
 import liftlab
 from liftlab import instance_to_json, uniform_gap_instance
@@ -28,6 +33,18 @@ def test_exports_are_unique():
 def test_removed_names_are_not_exported():
     assert not set(REMOVED) & set(liftlab.__all__)
     assert not any(hasattr(liftlab, name) for name in REMOVED)
+
+
+def test_declared_dependencies_import():
+    # every runtime dependency in pyproject.toml imports, and the one
+    # rational type is the standard library's
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        deps = tomllib.load(fh)["project"]["dependencies"]
+    for dep in deps:
+        importlib.import_module(re.match(r"[A-Za-z0-9_.]+", dep).group())
+    assert liftlab.Q is fractions.Fraction
 
 
 def test_every_imported_name_is_read():

@@ -12,7 +12,7 @@ from liftlab import (LPProblem, Q, certificate_alpha, family_p_t, greedy,
 
 from liftlab import simplex, solvers
 from liftlab.hierarchy import (_capacity_profile, _capacity_row, _disjoint_pairs,
-                               _orbit_blocks)
+                               _orbit_blocks, _orbit_matrices)
 from liftlab.solvers import (SA_DENSE_CAP, _barrier, _dense_problem, _forced_zero,
                              _orbit_problem, check_lasserre_size, sa_lp_size)
 
@@ -212,6 +212,11 @@ def test_uniform_sa_value_closed_form():
             if t <= n - 1:
                 assert sa_value(inst, t) == _closed_form(n, capacity, t), (n, t)
     assert sa_value(uniform_gap_instance(200, "1/10"), 40) == Q(450, 289)
+    # in level masses the LP holds no binomial coefficient, such as
+    # C(100, 50) ~ 1e29, so level 100 solves in milliseconds
+    start = time.perf_counter()
+    assert sa_value(uniform_gap_instance(200, "1/10"), 100) == Q(450, 349)
+    assert time.perf_counter() - start < 1.0
     assert sa_value(uniform_gap_instance(12, "1/10"), 2) == Q(9, 5)
     assert _closed_form(12, capacity, 2) == Q(27, 16)
     assert sa_value(uniform_gap_instance(8, "1/10"), 8) == 1
@@ -311,7 +316,7 @@ def test_lasserre_output_satisfies_the_box_localizers():
             assert np.linalg.eigvalsh(mat)[0] >= -1e-6
 
 
-def test_lasserre_validation():
+def test_lasserre_validation(monkeypatch):
     inst = uniform_gap_instance(4, "1/10")
     with pytest.raises(ValueError):
         lasserre_value(inst, 0)
@@ -334,6 +339,19 @@ def test_lasserre_validation():
     with pytest.raises(ValueError, match="hold 224396510 floats"):
         lasserre_value(skewed, 3)
     check_lasserre_size(uniform_gap_instance(12, "1/10"), 3)
+    # the cap sums the rows of Schrijver's moment and localizer blocks
+    # exactly as `_orbit_matrices` builds them on a profile
+    for n in range(1, 13):
+        inst = uniform_gap_instance(n, "1/10")
+        for t in range(1, min(6, n) + 1):
+            profile = [Q(1, m + 1) for m in range(min(2 * t, n) + 1)]
+            rows = sum(len(block) for blocks in _orbit_matrices(
+                profile, n, inst.capacity, inst.sizes[0], t) for block in blocks)
+            monkeypatch.setattr(solvers, "LASSERRE_DIM_CAP", rows)
+            check_lasserre_size(inst, t)
+            monkeypatch.setattr(solvers, "LASSERRE_DIM_CAP", rows - 1)
+            with pytest.raises(ValueError, match=f"have {rows} rows, over"):
+                check_lasserre_size(inst, t)
 
 
 def test_lasserre_reduces_exactly_the_uniform_instances():
