@@ -114,7 +114,8 @@ def _cmd_verify(args) -> int:
     _emit(args, {"mode": args.mode, "t": args.t,
                  "accepted": report.accepted, "checks": report.checked,
                  "reduced": report.reduced,
-                 "violations": len(report.violations)},
+                 "violations": len(report.violations),
+                 "margins": [rat_str(v.margin) for v in report.violations]},
           report.describe())
     return 0 if report.accepted else 1
 

@@ -21,6 +21,11 @@ from .subsets import (SetVector, count_p_t, family_p_t, indices_of, mask_of,
                       moment_matrix, signed_base, submasks)
 
 
+# longest exact margin `Violation.describe` prints; a rejected pivot can run
+# to thousands of characters
+MARGIN_CHARS = 40
+
+
 @dataclass(frozen=True)
 class Violation:
     kind: str          # which matrix or inequality family failed
@@ -28,8 +33,14 @@ class Violation:
     margin: object = None  # offending value (negative pivot or Moebius difference, ...)
 
     def describe(self) -> str:
-        margin = "" if self.margin is None else f" (margin {self.margin})"
-        return f"{self.kind} at {list(self.witness)}{margin}"
+        """One line; a margin whose exact form is longer than MARGIN_CHARS
+        prints as ~ and its float to 6 significant digits."""
+        if self.margin is None:
+            return f"{self.kind} at {list(self.witness)}"
+        margin = rat_str(self.margin)
+        if len(margin) > MARGIN_CHARS:
+            margin = f"~{float(self.margin):.6g}"
+        return f"{self.kind} at {list(self.witness)} (margin {margin})"
 
 
 @dataclass

@@ -33,8 +33,10 @@ SA_DENSE_CAP = 700_000
 LASSERRE_DIM_CAP = 400
 # floats in the dense moment-block tensor, |P_2t| x |P_t|^2 (`lasserre_value`
 # off the uniform family). Measured on a 2-core x86-64 box at the default
-# tol: n=8/t=3 (2,136,303) solves in 22 s, n=11/t=2 (2,522,818) in 53 s,
-# n=12/t=2 (4,955,354) in 141 s; n=12/t=3 would hold 224,396,510 (1.8 GB)
+# tol: n=8/t=3 (2,136,303; sizes 2..9, values 3..10, capacity 21) solves in
+# 7 s, n=11/t=2 (2,522,818; sizes 1 and one 3/2, capacity 19/10) in 22 s,
+# n=12/t=2 (4,955,354, the same data) in 99 s; n=12/t=3 would hold
+# 224,396,510 (1.8 GB)
 LASSERRE_DENSE_CAP = 3_000_000
 
 
@@ -214,15 +216,15 @@ def _trim(matrices, scale=1) -> list:
     """Float tensors [A_0, A_1, ...] of blocks A_0 + sum_j y_j A_j, from row
     lists of coefficient vectors, divided by scale (int vectors are rounded
     once); without empty blocks and the rows and columns zero in every A_j
-    (those of forced zeros, which would hold a block singular)."""
+    (those of forced zeros, which would hold a block singular). Each is
+    C-contiguous, so `_barrier` reads the A_j of a stack without a copy."""
     import numpy as np
     out = []
     for rows in matrices:
-        a = np.ascontiguousarray(np.moveaxis(np.array(rows) / scale, -1, 0),
-                                 dtype=float)
+        a = np.moveaxis(np.array(rows) / scale, -1, 0).astype(float)
         keep = np.flatnonzero(np.abs(a).sum(axis=(0, 1)))
         if keep.size:
-            out.append(a[:, keep][:, :, keep])
+            out.append(np.ascontiguousarray(a[:, keep][:, :, keep]))
     return out
 
 
@@ -273,43 +275,79 @@ def _orbit_problem(inst: KnapsackInstance, t: int) -> tuple:
             np.array(free), [(1 << m) - 1 for m in range(top + 1)], column)
 
 
-def _barrier(c, blocks, degree, tol: float, max_steps: int):
+def _bordered(blocks):
+    """The blocks as one stack (m+1, K, D, D) (`_barrier`), each bordered by
+    an identity up to the widest width D: diag(B_k(y), I) has B_k's log det,
+    gradient and Hessian, and its Cholesky factor is diag(L_k, I)."""
+    import numpy as np
+    width = max(a.shape[1] for a in blocks)
+    stack = np.zeros((blocks[0].shape[0], len(blocks), width, width))
+    for k, a in enumerate(blocks):
+        d = a.shape[1]
+        stack[:, k, :d, :d] = a
+        stack[0, k, range(d, width), range(d, width)] = 1.0
+    return stack
+
+
+def _barrier(c, stacks, rows: int, degree, tol: float, max_steps: int):
     """Maximize c.y over y in (0, 1)^vars with every block A_0 + sum_j
     y_j A_j positive definite, by damped Newton steps along the central path
     of f_s(y) = -s c.y - sum_k log det B_k(y) - sum log y - sum log(1 - y),
     s growing 8-fold per stage until nu / s <= tol: the minimizer of f_s is
-    within nu / s = (sum of block dimensions + 2 #vars) / s of the optimum
-    (Vandenberghe-Boyd 1996). Starts from y_K = delta^|K|, shrinking delta
-    by a tenth until every block factors. Returns (y or None if no start
-    factors, Newton steps, stages, why the path ended early or None); a step
-    the line search cannot shorten to a decrease of f_s ends the path.
+    within nu / s = (rows + 2 #vars) / s of the optimum (Vandenberghe-Boyd
+    1996), rows being the sum of the block dimensions without any border.
+
+    A stack holds K blocks of one width D as one array (m+1, K, D, D), A_j
+    of block k at [j, k]. Per stack, B(y) is one matrix-vector product, and
+    a Newton step costs one batched Cholesky factorization, one batched
+    inverse, the products W_j = L^-1 A_j L^-T of all (j, k) in two batched
+    matmul calls, and one Hessian product, whatever K is: numpy's per-call
+    overhead, not arithmetic, is what many small blocks cost. Blocks of
+    unequal width share a stack through an identity border (`_bordered`),
+    which leaves the barrier unchanged in exact arithmetic: Schrijver's
+    blocks, at most t+1 wide, go in one stack (one stack per width, three
+    at t=2, measured slower). The two dense blocks, |P_t| and |P_t-1|
+    wide, stay two stacks of one: bordering the localizer to |P_t| adds
+    m (|P_t|^3 - |P_t-1|^3) flops per step, and measured slower at n >= 7.
+
+    Starts from y_K = delta^|K|, shrinking delta by a tenth until every
+    block factors. Returns (y or None if no start factors, Newton steps,
+    stages, why the path ended early or None); a step the line search
+    cannot shorten to a decrease of f_s ends the path.
     """
     import numpy as np
-    nu = sum(a.shape[1] for a in blocks) + 2 * len(c)
+    m = len(c)
+    nu = rows + 2 * m
+    # the products' outputs, reused by every Newton step: a fresh array of
+    # the tensor's size per step costs page faults
+    work = [(np.empty_like(a[1:]), np.empty_like(a[1:])) for a in stacks]
 
-    def factors(y):  # Cholesky factors of the blocks, None outside the interior
+    def factors(y):  # Cholesky factors of the stacks, None outside the interior
         if not (np.all(y > 0) and np.all(y < 1)):
             return None
         try:
-            return [np.linalg.cholesky(a[0] + np.tensordot(y, a[1:], 1))
-                    for a in blocks]
+            return [np.linalg.cholesky(a[0] + (y @ a[1:].reshape(m, a[0].size))
+                                       .reshape(a.shape[1:])) for a in stacks]
         except np.linalg.LinAlgError:
             return None
 
     def f(y, s, chol):
         return (-s * (c @ y) - np.log(y).sum() - np.log1p(-y).sum()
-                - 2 * sum(np.log(np.diag(l)).sum() for l in chol))
+                - 2 * sum(np.log(np.diagonal(l, axis1=1, axis2=2)).sum()
+                          for l in chol))
 
     def newton(y, s, chol):  # Newton direction and squared decrement
         grad = -s * c - 1 / y + 1 / (1 - y)
         hess = np.diag(1 / y ** 2 + 1 / (1 - y) ** 2)
-        for a, l in zip(blocks, chol):
+        for a, l, (x, w) in zip(stacks, chol, work):
             # W_j = L^-1 A_j L^-T: tr W_j = tr B^-1 A_j, and <W_i, W_j> =
             # tr B^-1 A_i B^-1 A_j is the log det term's Hessian
             linv = np.linalg.inv(l)
-            w = linv @ a[1:] @ linv.T
-            grad -= np.einsum("jii->j", w)
-            hess += np.tensordot(w, w, axes=([1, 2], [1, 2]))
+            np.matmul(np.matmul(linv, a[1:], out=x), np.swapaxes(linv, 1, 2),
+                      out=w)
+            grad -= np.einsum("jkii->j", w)
+            flat = w.reshape(m, a[0].size)
+            hess += flat @ flat.T
         scale = 1 / np.sqrt(np.diag(hess))
         step = scale * np.linalg.solve(hess * np.outer(scale, scale), -grad * scale)
         if not np.all(np.isfinite(step)):
@@ -405,17 +443,20 @@ def lasserre_value(inst: KnapsackInstance, t: int, tol: float = 1e-4,
     uniform = inst.is_uniform()
     if uniform:
         c, blocks, degree, masks, column = _orbit_problem(inst, t)
+        stacks = [_bordered(blocks)]
         notes.append("solved on Schrijver's blocks in the cardinality "
                      "profile: the instance is uniform")
     else:
         c, blocks, degree, masks, column = _dense_problem(inst, t)
+        stacks = [a[:, None] for a in blocks]
     try:
         sol, start_val = opt_solution(inst)
         start = "the integer optimum"
     except ValueError:  # no exact search at this n; any feasible 0/1 point will do
         sol, start_val = greedy(inst)
         start = "the greedy value"
-    y, steps, stages, stop = _barrier(c, blocks, degree, tol, max_sweeps)
+    y, steps, stages, stop = _barrier(c, stacks, sum(a.shape[1] for a in blocks),
+                                      degree, tol, max_sweeps)
     notes += [stop] if stop else []
     value = -math.inf if y is None else float(c @ y)
     if value < start_val:
@@ -435,6 +476,7 @@ def lasserre_value(inst: KnapsackInstance, t: int, tol: float = 1e-4,
         point = dict(zip(masks, full[column].tolist()))
         # every block factored at y, so this is rounding at most
         residual = max([0.0] + [-np.linalg.eigvalsh(
-            a[0] + np.tensordot(y, a[1:], 1))[0] for a in blocks])
+            a[0] + np.tensordot(y, a[1:], 1))[:, 0].min()
+            for a in stacks])
     return LasserreEstimate(value=value, point=point, residual=float(residual),
                             sweeps=steps, bisections=stages, tol=tol, notes=notes)

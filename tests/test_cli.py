@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from liftlab import (Q, SetVector, Solution, convex_combination, family_p_t,
-                     instance_to_json, integer_to_moment, make_instance,
+from liftlab import (Q, SetVector, Solution, Violation, convex_combination,
+                     family_p_t, instance_to_json, integer_to_moment,
+                     lasserre_membership, make_instance, rat_str,
                      setvector_to_json, uniform_gap_instance)
 from liftlab.cli import main
 
@@ -118,6 +119,40 @@ def test_lasserre_verify_says_when_the_orbit_blocks_decided(inst_file, tmp_path,
     assert code == 0
     out = json.loads(capsys.readouterr().out)
     assert out["accepted"] is True and out["reduced"] is False
+
+
+def test_verify_prints_a_long_margin_as_a_float(tmp_path, capsys):
+    # a profile with 20- and 25-digit denominators off the 31/25 point: both
+    # rejected pivots have long exact forms, printed as floats in the text
+    # and exactly in the JSON's margins
+    inst_path = tmp_path / "u4.json"
+    inst_path.write_text(instance_to_json(uniform_gap_instance(4, "1/10")),
+                         encoding="utf-8")
+    level = [Q(1), Q(31, 100) + Q(1, 10 ** 20 + 39), Q(9, 1000) - Q(1, 10 ** 25 + 13),
+             Q(0), Q(0)]
+    y = SetVector(4, {m: level[m.bit_count()] for m in family_p_t(4, 4).masks})
+    point = tmp_path / "pt.json"
+    point.write_text(setvector_to_json(y), encoding="utf-8")
+    argv = ["verify", "--instance", str(inst_path), "--point", str(point),
+            "--mode", "lasserre", "--t", "2"]
+    report = lasserre_membership(y, uniform_gap_instance(4, "1/10"), 2)
+    margins = [v.margin for v in report.violations]
+    assert len(margins) == 2 and all(len(rat_str(m)) > 40 for m in margins)
+    assert main(argv) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:] == [
+        f"  {v.kind} at {list(v.witness)} (margin ~{float(v.margin):.6g})"
+        for v in report.violations]
+    assert lines[1].endswith("(margin ~-0.1896)"), lines
+    assert main(argv + ["--json"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["margins"] == [rat_str(m) for m in margins]
+    assert [Q(m) for m in out["margins"]] == margins
+    # a margin of exactly 40 characters still prints exactly
+    edge = Q(-1, 10 ** 36)
+    assert len(rat_str(edge)) == 40
+    assert Violation("k", (0,), edge).describe() == f"k at [0] (margin {rat_str(edge)})"
+    assert Violation("k", (0,), edge / 10).describe() == "k at [0] (margin ~-1e-37)"
 
 
 def test_verify_rejects_bad_point(inst_file, tmp_path, capsys):

@@ -86,7 +86,8 @@ def _child_env():
 # run in a fresh interpreter: argv[1] and argv[2] are the instance files of
 # uniform n=12 and n=8, argv[3] the path for the 6/5 point; prints the exit
 # codes and whether numpy was loaded after the exact commands and after the
-# float call, `lasserre_value`
+# float call, `lasserre_value`, and whether that call loaded scipy (a test-only
+# dependency)
 NUMPY_PROBE = """
 import contextlib, io, json, sys
 import liftlab, liftlab.cli
@@ -112,7 +113,8 @@ for argv in commands:
 exact = "numpy" in sys.modules
 value = lasserre_value(uniform_gap_instance(4, "1/10"), 2).value
 print(json.dumps({"codes": codes, "numpy_after_exact": exact, "value": value,
-                  "numpy_after_float": "numpy" in sys.modules}))
+                  "numpy_after_float": "numpy" in sys.modules,
+                  "scipy_after_float": "scipy" in sys.modules}))
 """
 
 
@@ -132,6 +134,7 @@ def test_exact_commands_never_load_numpy(tmp_path):
     assert out["numpy_after_exact"] is False
     assert out["value"] > 1
     assert out["numpy_after_float"] is True
+    assert out["scipy_after_float"] is False
 
 
 def test_python_dash_m_runs_the_cli(capsys):

@@ -7,14 +7,15 @@ import pytest
 
 from liftlab import (LPProblem, Q, certificate_alpha, family_p_t, greedy,
                      lasserre_value, lp_value, make_instance, opt_solution,
-                     sa_lp_problem, sa_value,
+                     residual, sa_lp_problem, sa_value,
                      signed_base, simplex_exact, uniform_gap_instance)
 
 from liftlab import simplex, solvers
 from liftlab.hierarchy import (_capacity_profile, _capacity_row, _disjoint_pairs,
                                _orbit_blocks, _orbit_matrices)
-from liftlab.solvers import (SA_DENSE_CAP, _barrier, _dense_problem, _forced_zero,
-                             _orbit_problem, check_lasserre_size, sa_lp_size)
+from liftlab.solvers import (SA_DENSE_CAP, _barrier, _bordered, _dense_problem,
+                             _forced_zero, _orbit_problem, check_lasserre_size,
+                             sa_lp_size)
 
 from conftest import rand_instance, sa_linear_constraints
 
@@ -372,7 +373,8 @@ def test_lasserre_reduces_exactly_the_uniform_instances():
 
 def _barrier_value(build, inst, t):
     c, blocks, degree, _, _ = build(inst, t)
-    y, _, _, _ = _barrier(c, blocks, degree, 1e-8, 50000)
+    y, _, _, _ = _barrier(c, [a[:, None] for a in blocks],
+                          sum(a.shape[1] for a in blocks), degree, 1e-8, 50000)
     return float(c @ y)
 
 
@@ -385,6 +387,56 @@ def test_orbit_and_dense_barriers_agree_on_uniform_instances():
                 orbit = _barrier_value(_orbit_problem, inst, t)
                 dense = _barrier_value(_dense_problem, inst, t)
                 assert abs(orbit - dense) <= 1e-6, (eps, n, t, orbit, dense)
+
+
+def test_the_identity_border_changes_nothing():
+    # diag(B, I) has B's log det, gradient and Hessian: Schrijver's blocks
+    # bordered into one stack run the path of one unbordered stack per width.
+    # At tol = nu / 8^5 the path ends in stage 6 only if nu leaves the
+    # border's rows out
+    for eps in ("1/10", "1/4"):
+        for n in (4, 8, 20):
+            for t in (2, 3):
+                c, blocks, degree, _, _ = _orbit_problem(uniform_gap_instance(n, eps), t)
+                rows = sum(a.shape[1] for a in blocks)
+                widths = sorted({a.shape[1] for a in blocks})
+                per_width = [np.stack([a for a in blocks if a.shape[1] == d], axis=1)
+                             for d in widths]
+                for tol in (1e-4, (rows + 2 * len(c)) / 8 ** 5):
+                    runs = [_barrier(c, stacks, rows, degree, tol, 50000)
+                            for stacks in ([_bordered(blocks)], per_width)]
+                    (y, *path), (y_ref, *path_ref) = runs
+                    assert path == path_ref, (eps, n, t, tol, path, path_ref)
+                    value, ref = float(c @ y), float(c @ y_ref)
+                    assert abs(value - ref) <= 1e-12 * abs(ref), (eps, n, t, value, ref)
+                assert path[1:] == [6, None], (eps, n, t, path)
+
+
+def _cholesky_shapes(monkeypatch, inst, t):
+    """The shapes np.linalg.cholesky receives during lasserre_value."""
+    shapes, cholesky = [], np.linalg.cholesky
+
+    def spy(a):
+        shapes.append(a.shape)
+        return cholesky(a)
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "cholesky", spy)
+        lasserre_value(inst, t)
+    return shapes
+
+
+def test_the_barrier_factors_stacks_not_blocks(monkeypatch):
+    # uniform: all of Schrijver's blocks in one bordered stack per call
+    inst = uniform_gap_instance(8, "1/10")
+    blocks = _orbit_problem(inst, 2)[1]
+    width = max(a.shape[1] for a in blocks)
+    shapes = _cholesky_shapes(monkeypatch, inst, 2)
+    assert shapes and set(shapes) == {(len(blocks), width, width)}
+    # dense: M_{P_2} and M_{P_1}(g*y) of 5 items, |P_2| = 16 and |P_1| = 6
+    # wide, each a stack of one and never bordered to 16
+    inst = make_instance([3, 5, 2, 7, 4], [2, 6, 3, 8, 5], 11)
+    shapes = _cholesky_shapes(monkeypatch, inst, 2)
+    assert shapes and set(shapes) == {(1, 16, 16), (1, 6, 6)}
 
 
 def _trimmed(tensors):
@@ -494,6 +546,20 @@ def test_lasserre_forced_zeros_are_dropped():
     edge = make_instance([2, 1], [1, 1], 2)
     assert [m for m in family_p_t(2, 4).masks[1:]
             if _forced_zero(edge, m, 2)] == [0b11]
+
+
+def test_lasserre_with_every_variable_forced_to_zero():
+    # a residual instance may hold only items over its capacity: no y_K is
+    # left free, and the estimate is the empty knapsack
+    uniform = residual(uniform_gap_instance(4, "1/10"), {0: 1})[0]
+    dense = residual(make_instance([3, 5, 4, 6], [2, 6, 3, 8], 6), {3: 1})[0]
+    for inst, t, build in ((uniform, 2, _orbit_problem), (dense, 1, _dense_problem),
+                           (dense, 2, _dense_problem)):
+        assert build(inst, t)[0].size == 0
+        est = lasserre_value(inst, t)
+        assert est.value == 0.0 and est.residual == 0.0 and est.sweeps == 0
+        assert est.point[0] == 1.0 and set(est.point.values()) == {0.0, 1.0}
+        assert len(est.notes) == 1 + inst.is_uniform(), est.notes
 
 
 def _level2_closed_form(eps):
