@@ -20,7 +20,7 @@ from .knapsack import (KnapsackInstance, Solution, greedy, instance_from_json,
                        residual, uniform_gap_instance)
 from .psd import EigenConvergenceError, project_psd, psd_exact
 from .rationals import ONE, Q, ZERO, rat, rat_str
-from .simplex import LPInfeasible, LPProblem, LPUnbounded, simplex_exact
+from .simplex import LPProblem, LPUnbounded, simplex_exact
 from .solvers import (LasserreEstimate, lasserre_value, sa_lp_problem,
                       sa_value)
 from .subsets import (SetVector, SubsetFamily, extend, family_p_t,
@@ -34,7 +34,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CertificateCheck", "DecompositionResult", "EigenConvergenceError",
-    "KnapsackInstance", "LPInfeasible", "LPProblem", "LPUnbounded",
+    "KnapsackInstance", "LPProblem", "LPUnbounded",
     "LasserreEstimate", "MembershipReport", "ONE", "Q", "ResultRow",
     "SetVector", "Solution", "SubsetFamily", "SweepConfig",
     "Violation", "ZERO", "big_items", "certificate_alpha",

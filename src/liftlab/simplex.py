@@ -1,6 +1,10 @@
-"""Exact rational simplex (dictionary form) with anti-cycling.
+"""Exact rational one-phase primal simplex (dictionary form) with anti-cycling.
 
 Variables are implicitly non-negative; upper bounds are ordinary rows.
+x = 0 must be feasible: the solve starts from the all-slack basis
+there, so a row that fails at x = 0 is refused, not repaired by a
+phase one. Every LP this package builds holds at y = 0 (the proofs are
+in `solvers.sa_lp_problem` and `solvers._uniform_sa_problem`).
 Pivoting uses Dantzig's rule while the objective improves and falls
 back to Bland's rule during degenerate stretches, so termination is
 guaranteed.
@@ -28,10 +32,6 @@ import math
 from dataclasses import dataclass, field
 
 from .rationals import Q, ZERO, integer_row, rat
-
-
-class LPInfeasible(Exception):
-    pass
 
 
 class LPUnbounded(Exception):
@@ -79,15 +79,18 @@ class _Dictionary:
 
     Entries are integers and each den[i] > 0; the objective is
     (obj[-1] + sum_j obj[j] * x_nonbasic[j]) / oden in the same form.
+    It starts at x = 0: the slacks, numbered after the variables, are
+    basic and the objective row is the objective itself.
     """
 
-    def __init__(self, rows, den, basic, nonbasic):
+    def __init__(self, rows, den, obj, oden):
+        nvars = len(obj) - 1
         self.rows = rows
         self.den = den
-        self.basic = basic
-        self.nonbasic = nonbasic
-        self.obj = [0] * (len(nonbasic) + 1)
-        self.oden = 1
+        self.basic = list(range(nvars, nvars + len(rows)))
+        self.nonbasic = list(range(nvars))
+        self.obj = obj
+        self.oden = oden
         self.degen = 0
 
     def pivot(self, i, j):
@@ -205,34 +208,20 @@ def _build_rows(problem: LPProblem, var_index):
 def simplex_exact(problem: LPProblem):
     """Exact optimum of an LPProblem; returns (value, point dict).
 
-    Raises LPUnbounded / LPInfeasible.
+    x = 0 must be feasible: each '<=' row needs rhs >= 0, each '>=' row
+    rhs <= 0 and each '==' row rhs = 0, else ValueError. Raises
+    LPUnbounded if the objective has no maximum.
     """
     variables = problem.variables()
     nvars = len(variables)
     var_index = {v: i for i, v in enumerate(variables)}
     rows, den = _build_rows(problem, var_index)
-    m = len(rows)
-    basic = list(range(nvars, nvars + m))
-    nonbasic = list(range(nvars))
-    d = _Dictionary(rows, den, basic, nonbasic)
-
     if any(row[-1] < 0 for row in rows):
-        _phase_one(d)
-
+        raise ValueError("simplex_exact needs every row to hold at x = 0")
+    obj = [0] * (nvars + 1)
     for v, c in problem.objective.items():
-        j = var_index[v]
-        if type(c) is not int:
-            c = rat(c)
-        # express the objective over the current basis: add c * x_j
-        if j in d.nonbasic:
-            x, dx = [0] * len(d.obj), 1
-            x[d.nonbasic.index(j)] = 1
-        else:
-            i = d.basic.index(j)
-            x, dx = d.rows[i], d.den[i]
-        d.obj, d.oden = _combine(d.obj, c.denominator * dx, x,
-                                 c.numerator * d.oden, d.oden * c.denominator * dx)
-    d.degen = 0
+        obj[var_index[v]] = c if type(c) is int else rat(c)
+    d = _Dictionary(rows, den, *integer_row(obj))
     d.optimize()
 
     point = {v: ZERO for v in variables}
@@ -240,32 +229,3 @@ def simplex_exact(problem: LPProblem):
         if bs < nvars:
             point[variables[bs]] = Q(d.rows[i][-1], d.den[i])
     return Q(d.obj[-1], d.oden), point
-
-
-def _phase_one(d: _Dictionary):
-    """Standard auxiliary-variable phase: maximize -x0 with x0 added to every row."""
-    aux = max(d.basic) + 1
-    for row, den in zip(d.rows, d.den):
-        row.insert(-1, den)
-    d.nonbasic.append(aux)
-    d.obj = [0] * (len(d.nonbasic) + 1)
-    d.obj[-2] = -1
-    d.oden = 1
-    # initial pivot: x0 enters, the most negative row leaves
-    i0 = min(range(len(d.rows)), key=lambda i: (Q(d.rows[i][-1], d.den[i]), d.basic[i]))
-    d.pivot(i0, len(d.nonbasic) - 1)
-    d.degen = 0
-    d.optimize()
-    if d.obj[-1] != 0:
-        raise LPInfeasible("phase one optimum is negative")
-    if aux in d.basic:
-        # degenerate at zero: pivot x0 out on any nonzero row entry
-        i = d.basic.index(aux)
-        j = next(j for j, v in enumerate(d.rows[i][:-1]) if v != 0)
-        d.pivot(i, j)
-    j = d.nonbasic.index(aux)
-    for row in d.rows:
-        del row[j]
-    del d.nonbasic[j]
-    d.obj = [0] * (len(d.nonbasic) + 1)
-    d.oden = 1

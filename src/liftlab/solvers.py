@@ -51,11 +51,12 @@ def sa_lp_problem(inst: KnapsackInstance, t: int) -> LPProblem:
 
     The base rows B(U, 0) >= 0 read y_U >= 0, which the simplex keeps
     for every variable, so they are left out, and the pivots are those
-    of the LP with them. The rows hold at y = 0 (each constant is 0, 1
-    or C >= 0), so no phase one runs, and the slack s of such a row
-    never leaves: while y_U is nonbasic, s = y_U has no negative entry;
-    once y_U is basic, s has y_U's own row, ties it in every ratio test
-    and loses the tie to y_U's smaller index.
+    of the LP with them. Every row holds at y = 0 (each constant is 0, 1
+    or C >= 0), which `simplex_exact` needs: it starts from the
+    all-slack basis there. The slack s of a left-out row never leaves:
+    while y_U is nonbasic, s = y_U has no negative entry; once y_U is
+    basic, s has y_U's own row, ties it in every ratio test and loses
+    the tie to y_U's smaller index.
 
     Rows come from `signed_base` and `_capacity_row`, so an instance
     with integral capacity and sizes gives int coefficients throughout.
@@ -106,13 +107,21 @@ def _uniform_sa_problem(inst: KnapsackInstance, t: int) -> LPProblem:
     each row times C(T, i) (T - i) = (i+1) C(T, i+1) (only C(T, i) for t > n,
     where T - i = 0 at i = n) reads
     (C' - i) (T - i) u_i + (i + 1) (C' - i - n + T - 1) u_{i+1} >= 0.
+
+    The normalisation is written sum_i u_i <= 1, so that u = 0 is
+    feasible and `simplex_exact` starts there. The optimum is the same:
+    every other row is homogeneous and every objective coefficient is
+    >= 0, so a feasible u with 0 < sum u < 1 scales to u / sum u, which is
+    feasible and worth at least as much, and at u = 0 the objective is 0,
+    the value of the feasible point e_0 (u_0 = 1, whose rows read
+    C' T >= 0, or C' >= 0 for t > n).
     """
     n = inst.n
     top = min(t, n)
     ratio = inst.capacity / inst.sizes[0]
     problem = LPProblem({j: n * inst.values[0] * Q(j, top)
                          for j in range(1, top + 1)})
-    problem.add(dict.fromkeys(range(top + 1), 1), "==", 1)
+    problem.add(dict.fromkeys(range(top + 1), 1), "<=", 1)
     for i in range(min(t - 1, n) + 1):
         row = ({i: (ratio - i) * (top - i), i + 1: (i + 1) * (ratio - i - n + top - 1)}
                if t <= n else {i: ratio - i})

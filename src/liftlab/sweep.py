@@ -64,6 +64,15 @@ class SweepConfig:
             raise ValueError("uniform family needs non-empty n and eps ranges")
         if self.family == "files" and not self.files:
             raise ValueError("files family needs at least one instance file")
+        if not all(isinstance(f, str) for f in self.files):
+            raise ValueError("instance files must be path strings")
+        if not (self.output is None or isinstance(self.output, str)):
+            raise ValueError("output must be a path string")
+        # bool is an int subclass: True would run as n = 1 or t = 1
+        if not all(type(n) is int for n in self.n_values):
+            raise ValueError("item counts n must be integers")
+        if not all(type(t) is int for t in self.t_values):
+            raise ValueError("levels t must be integers")
         if not self.t_values:
             raise ValueError("empty t range")
         if any(t < 1 for t in self.t_values):
@@ -73,6 +82,8 @@ class SweepConfig:
         for m in self.modes:
             if m not in MODES:
                 raise ValueError(f"unknown mode {m!r} (choose from {MODES})")
+        if isinstance(self.tol, bool) or not isinstance(self.tol, (int, float)):
+            raise ValueError("tol must be a number")
         if not 0 < self.tol < math.inf:
             raise ValueError("tol must be positive and finite")
         return self

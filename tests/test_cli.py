@@ -346,6 +346,21 @@ def test_sweep_config_with_threads_is_rejected(tmp_path, capsys):
     assert "threads" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("change, says", [
+    ({"t_values": [2.5]}, "levels t must be integers"),
+    ({"n_values": [True]}, "item counts n must be integers"),
+    ({"output": 2}, "output must be a path string"),
+])
+def test_sweep_config_with_malformed_fields_exits_two(tmp_path, capsys, change, says):
+    cfg = {"family": "uniform", "n_values": [6], "eps_values": ["1/10"],
+           "t_values": [2], "modes": ["sa-lp"], **change}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(["sweep", "--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {says}\n"
+
+
 @pytest.mark.parametrize("size", ["1.5", "true"])
 def test_float_or_bool_in_instance_is_usage_error(tmp_path, capsys, size):
     path = tmp_path / "inst.json"

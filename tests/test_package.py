@@ -18,7 +18,8 @@ REMOVED = ("overflow_vanishing_check", "t_families", "project",
            "supersets_within", "LinearConstraint", "capacity_constraint",
            "box_constraints", "all_constraints", "MultilinearPoly", "char_poly",
            "poly_shift", "min_eigenvalue", "psd_float", "matrix_to_float",
-           "sa_linear_constraints", "LiftedInequality", "w_normalize")
+           "sa_linear_constraints", "LiftedInequality", "w_normalize",
+           "LPInfeasible")
 
 
 def test_every_export_resolves():

@@ -161,6 +161,33 @@ def test_integral_sa_lp_stays_on_ints(rng):
         assert all(type(v) is int for row in rows for v in row)
 
 
+def test_every_lp_liftlab_builds_holds_at_the_origin(rng):
+    # simplex_exact starts from the all-slack basis at y = 0, so every
+    # dictionary row of both SA LPs must have a constant >= 0 there
+    def origin_constants(problem):
+        variables = problem.variables()
+        rows, _ = simplex._build_rows(problem, {v: k for k, v in enumerate(variables)})
+        return [row[-1] for row in rows]
+
+    rational = make_instance(["3/2", 1, "1/2", "4/5", 1, "6/5"],
+                             [3, "5/2", 1, 4, "7/3", 2], "19/10")
+    for case in range(40):
+        t = rng.randint(1, 3)
+        n = rng.randint(1, 6 if case % 2 or t < 3 else 4)
+        if case % 2:
+            keep = sorted(rng.sample(range(6), n))
+            inst = make_instance([rational.sizes[i] for i in keep],
+                                 [rational.values[i] for i in keep], rational.capacity)
+        else:
+            inst = rand_instance(rng, n)
+        assert min(origin_constants(sa_lp_problem(inst, t))) >= 0, (case, n, t)
+    for n, levels in ((3, range(1, 6)), (8, range(1, 11)), (200, (1, 2, 40, 199, 200, 202))):
+        for eps in ("1/10", "2/5"):
+            inst = uniform_gap_instance(n, eps)
+            for t in levels:
+                assert min(origin_constants(solvers._uniform_sa_problem(inst, t))) >= 0, (n, t)
+
+
 def test_sa_value_dominates_certificate():
     # the certificate is feasible for the linear system, so the optimum
     # cannot be smaller than its objective

@@ -55,6 +55,23 @@ def test_config_validation():
         with pytest.raises(ValueError):
             SweepConfig(family="uniform", n_values=(4,), eps_values=("1/10",),
                         t_values=(1,), tol=tol).validate()
+    # malformed levels, sizes, files, output or tol name the field, where
+    # they ran as n = 1 or t = 1, wrote to a file descriptor or made an
+    # error row
+    base = dict(family="uniform", n_values=(4,), eps_values=("1/10",), t_values=(1,))
+    for change, says in [({"t_values": (2.5,)}, "levels t must be integers"),
+                         ({"t_values": (True,)}, "levels t must be integers"),
+                         ({"t_values": ("2",)}, "levels t must be integers"),
+                         ({"n_values": (True,)}, "item counts n must be integers"),
+                         ({"n_values": (6.0,)}, "item counts n must be integers"),
+                         ({"output": 2}, "output must be a path string"),
+                         ({"family": "files", "files": ("a.json", 3)},
+                          "instance files must be path strings"),
+                         ({"tol": True}, "tol must be a number"),
+                         ({"tol": "1e-4"}, "tol must be a number")]:
+        with pytest.raises(ValueError) as exc:
+            SweepConfig(**{**base, **change}).validate()
+        assert str(exc.value) == says, change
 
 
 def test_from_dict_rejects_unknown_keys():
