@@ -15,7 +15,7 @@ from .hierarchy import (CertificateCheck, MembershipReport, Violation,
                         convex_combination, integer_to_moment,
                         lasserre_membership, sa_gap_certificate,
                         sa_membership, verify_gap_certificate)
-from .knapsack import (KnapsackInstance, Solution, greedy, instance_from_json,
+from .knapsack import (KnapsackInstance, greedy, instance_from_json,
                        instance_to_json, lp_value, make_instance, opt_solution,
                        residual, uniform_gap_instance)
 from .psd import EigenConvergenceError, project_psd, psd_exact
@@ -23,11 +23,11 @@ from .rationals import ONE, Q, ZERO, rat, rat_str
 from .simplex import LPProblem, LPUnbounded, simplex_exact
 from .solvers import (LasserreEstimate, lasserre_value, sa_lp_problem,
                       sa_value)
-from .subsets import (SetVector, SubsetFamily, extend, family_p_t,
-                      family_powerset, indices_of, is_closed_under_shifting,
-                      mask_of, moment_matrix, restrict_reindex,
-                      setvector_from_json, setvector_to_json, shift,
-                      signed_base, submasks, z_vector)
+from .subsets import (SetVector, extend, family_p_t, family_powerset,
+                      indices_of, is_closed_under_shifting, mask_of,
+                      moment_matrix, restrict_reindex, setvector_from_json,
+                      setvector_to_json, shift, signed_base, submasks,
+                      z_vector)
 from .sweep import ResultRow, SweepConfig, emit_csv, run_sweep
 
 __version__ = "0.1.0"
@@ -36,7 +36,7 @@ __all__ = [
     "CertificateCheck", "DecompositionResult", "EigenConvergenceError",
     "KnapsackInstance", "LPProblem", "LPUnbounded",
     "LasserreEstimate", "MembershipReport", "ONE", "Q", "ResultRow",
-    "SetVector", "Solution", "SubsetFamily", "SweepConfig",
+    "SetVector", "SweepConfig",
     "Violation", "ZERO", "big_items", "certificate_alpha",
     "certificate_membership", "convex_combination", "decompose",
     "emit_csv", "extend",

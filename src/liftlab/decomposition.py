@@ -17,10 +17,10 @@ MAX_SPLIT_SET = 16
 
 @dataclass(frozen=True)
 class DecompositionResult:
+    """The split set S and its parts ((x_mask, z^X_0, w^X), ...), each w^X
+    a SetVector over P_{2t-2k}(V)."""
     s_mask: int
-    k: int
-    level: int  # the level t of the decomposed input
-    parts: tuple  # ((x_mask, weight, w: SetVector over P_{2t-2k}(V)), ...)
+    parts: tuple
 
 
 def vanishing_condition(y: SetVector, s_mask: int, k: int) -> bool:
@@ -80,7 +80,7 @@ def decompose(y: SetVector, inst: KnapsackInstance, s_mask: int,
     if y.get(0) != 1:
         raise ValueError("expected a normalized lifted point (y_0 = 1)")
     yext = extend(y)
-    target = family_p_t(inst.n, 2 * (t - k)).masks
+    target = family_p_t(inst.n, 2 * (t - k))
     outside = [m for m in target if not m & s_mask]
     parts = []
     for x_mask in sorted(x for x in submasks(s_mask) if x.bit_count() < k):
@@ -94,7 +94,7 @@ def decompose(y: SetVector, inst: KnapsackInstance, s_mask: int,
             w = {m: ZERO if m & s_mask & ~x_mask else z[m & ~s_mask] / weight
                  for m in target}
             parts.append((x_mask, weight, SetVector(inst.n, w)))
-    return DecompositionResult(s_mask, k, t, tuple(parts))
+    return DecompositionResult(s_mask, tuple(parts))
 
 
 def verify_decomposition(res: DecompositionResult, y: SetVector,
@@ -133,7 +133,7 @@ def verify_decomposition(res: DecompositionResult, y: SetVector,
                 report.add("w membership La_{t-k}(residual)", tuple(xi),
                            len(sub.violations))
 
-    for m in family_p_t(n, 2 * (t - k)).masks:
+    for m in family_p_t(n, 2 * (t - k)):
         recon = sum((weight * w[m] for _, weight, w in res.parts), ZERO)
         report.checked += 1
         if recon != y[m]:

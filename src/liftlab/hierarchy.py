@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .knapsack import KnapsackInstance, Solution, uniform_gap_instance
+from .knapsack import KnapsackInstance, uniform_gap_instance
 from .psd import psd_exact_witness
 from .rationals import Q, ZERO, ONE, integer_row, rat, rat_str
 from .subsets import (SetVector, count_p_t, family_p_t, indices_of, mask_of,
@@ -67,19 +67,15 @@ class MembershipReport:
         return "\n".join(lines)
 
 
-def integer_to_moment(inst: KnapsackInstance, sol: Solution, depth: int) -> SetVector:
-    """Moment vector of a feasible 0/1 point: y_I = 1 iff I is contained in it."""
-    chosen = sol.chosen
+def integer_to_moment(inst: KnapsackInstance, chosen: int, depth: int) -> SetVector:
+    """Moment vector on P_depth(V) of the feasible 0/1 point whose items
+    are the bitmask `chosen`: y_I = 1 iff I is contained in it."""
     if chosen >> inst.n:
         raise ValueError("solution uses items outside the instance")
     if not inst.is_feasible(chosen):
         raise ValueError("solution is infeasible")
-    values = {}
-    for size in range(depth + 1):
-        for combo in itertools.combinations(range(inst.n), size):
-            m = mask_of(combo)
-            values[m] = ONE if m & ~chosen == 0 else ZERO
-    return SetVector(inst.n, values)
+    return SetVector(inst.n, {m: ONE if m & ~chosen == 0 else ZERO
+                              for m in family_p_t(inst.n, depth)})
 
 
 def convex_combination(parts) -> SetVector:
@@ -374,7 +370,7 @@ def _lasserre_orbit_tests(profile, inst: KnapsackInstance, t: int,
 def _dense_matrices(y: SetVector, shifted, t: int) -> tuple:
     """M_{P_t}(y) and M_{P_t-1}(g*y) as row lists, the second read from
     `shifted` (`_capacity_shift` of y's entries, rationals or vectors)."""
-    fam = family_p_t(y.n, t - 1).masks
+    fam = family_p_t(y.n, t - 1)
     return (moment_matrix(y, family_p_t(y.n, t)),
             [[shifted(a | b) for b in fam] for a in fam])
 
@@ -486,11 +482,7 @@ def _certificate_profile(n: int, eps, t: int) -> list:
 def sa_gap_certificate(n: int, eps, t: int) -> SetVector:
     """The uniform-knapsack SA certificate: y_0 = 1, singletons alpha, rest 0."""
     profile = _certificate_profile(n, eps, t)
-    values = {}
-    for size in range(t + 1):
-        for combo in itertools.combinations(range(n), size):
-            values[mask_of(combo)] = profile[size]
-    return SetVector(n, values)
+    return SetVector(n, {m: profile[m.bit_count()] for m in family_p_t(n, t)})
 
 
 def certificate_membership(n: int, eps, t: int) -> MembershipReport:

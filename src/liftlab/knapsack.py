@@ -66,11 +66,6 @@ def make_instance(sizes, values, capacity) -> KnapsackInstance:
     return inst.check_standing_assumption()
 
 
-@dataclass(frozen=True)
-class Solution:
-    chosen: int  # bitmask
-
-
 def _ratio_order(inst: KnapsackInstance) -> list[int]:
     # decreasing v_i/c_i, ties broken by lower index
     return sorted(range(inst.n), key=lambda i: (-(inst.values[i] / inst.sizes[i]), i))
@@ -91,9 +86,9 @@ def _fractional_greedy(sizes, values, cap, start: int = 0):
     return total
 
 
-def greedy(inst: KnapsackInstance) -> tuple[Solution, object]:
-    """Pack by decreasing value/size ratio, stopping at the first item that
-    does not fit (items after the stopping point are not considered)."""
+def greedy(inst: KnapsackInstance) -> tuple[int, object]:
+    """(mask, value) of packing by decreasing value/size ratio up to the
+    first item that does not fit (later items are not considered)."""
     remaining = inst.capacity
     chosen = 0
     total = ZERO
@@ -103,11 +98,11 @@ def greedy(inst: KnapsackInstance) -> tuple[Solution, object]:
         chosen |= 1 << i
         remaining -= inst.sizes[i]
         total += inst.values[i]
-    return Solution(chosen), total
+    return chosen, total
 
 
-def opt_solution(inst: KnapsackInstance) -> tuple[Solution, object]:
-    """Exact integer optimum and an attaining subset.
+def opt_solution(inst: KnapsackInstance) -> tuple[int, object]:
+    """(mask, value): an optimal subset's bitmask and the exact optimum.
 
     On a uniform instance (equal sizes c, equal values v) no feasible set
     has more than floor(C/c) items and a set is worth v per item, so the
@@ -118,7 +113,7 @@ def opt_solution(inst: KnapsackInstance) -> tuple[Solution, object]:
     n = inst.n
     if inst.is_uniform():
         k = min(n, math.floor(inst.capacity / inst.sizes[0]))
-        return Solution((1 << k) - 1), inst.values[0] * k
+        return (1 << k) - 1, inst.values[0] * k
     if n > MAX_BRUTEFORCE:
         raise ValueError(f"brute force capped at n <= {MAX_BRUTEFORCE}")
     order = _ratio_order(inst)
@@ -136,7 +131,7 @@ def opt_solution(inst: KnapsackInstance) -> tuple[Solution, object]:
         dfs(k + 1, cap, acc, mask)
 
     dfs(0, inst.capacity, ZERO, 0)
-    return Solution(best[1]), best[0]
+    return best[1], best[0]
 
 
 def lp_value(inst: KnapsackInstance):

@@ -10,7 +10,7 @@ back to Bland's rule during degenerate stretches, so termination is
 guaranteed.
 
 The tableau is fraction-free (Edmonds 1967; Bareiss 1968): each row,
-and the objective row, holds Python integers over one positive integer
+the objective row last, holds Python integers over one positive integer
 denominator. Int coefficients and right-hand sides come in as they are,
 so an integral LP is built without rational arithmetic; a row with any
 other coefficient is coerced with `rat` and cleared of its
@@ -65,32 +65,22 @@ class LPProblem:
 _DEGENERATE_STREAK = 12
 
 
-def _combine(x, a, y, b, d):
-    """The row (a*x + b*y) / d in lowest terms, as (numerators, denominator)."""
-    row = [a * u + b * v for u, v in zip(x, y)]
-    g = math.gcd(d, *row)
-    if g > 1:
-        return [v // g for v in row], d // g
-    return row, d
-
-
 class _Dictionary:
     """x_basic[i] = (rows[i][-1] + sum_j rows[i][j] * x_nonbasic[j]) / den[i].
 
-    Entries are integers and each den[i] > 0; the objective is
-    (obj[-1] + sum_j obj[j] * x_nonbasic[j]) / oden in the same form.
-    It starts at x = 0: the slacks, numbered after the variables, are
+    Entries are integers and each den[i] > 0. The last row is the
+    objective, in the same form; it has no basic variable, so `basic` is
+    one entry shorter than `rows`, and a pivot updates it like any other
+    row. It starts at x = 0: the slacks, numbered after the variables, are
     basic and the objective row is the objective itself.
     """
 
-    def __init__(self, rows, den, obj, oden):
-        nvars = len(obj) - 1
+    def __init__(self, rows, den):
+        nvars = len(rows[-1]) - 1
         self.rows = rows
         self.den = den
-        self.basic = list(range(nvars, nvars + len(rows)))
+        self.basic = list(range(nvars, nvars + len(rows) - 1))
         self.nonbasic = list(range(nvars))
-        self.obj = obj
-        self.oden = oden
         self.degen = 0
 
     def pivot(self, i, j):
@@ -126,18 +116,12 @@ class _Dictionary:
                 row = [v // g for v in row]
                 d //= g
             rows[r], den[r] = row, d
-        f = self.obj[j]
-        if f != 0:
-            g = math.gcd(p, f)
-            self.obj[j] = 0
-            self.obj, self.oden = _combine(self.obj, p // g, newrow, f // g,
-                                           self.oden * (p // g))
         rows[i], den[i] = newrow, p
         self.basic[i], self.nonbasic[j] = self.nonbasic[j], self.basic[i]
 
     def _entering(self):
         # one denominator for the whole objective row: compare numerators
-        obj = self.obj[:-1]
+        obj = self.rows[-1][:-1]
         if self.degen >= _DEGENERATE_STREAK:
             best = None
             for j, c in enumerate(obj):
@@ -154,7 +138,7 @@ class _Dictionary:
         # the ratio -b[i] / a[i][j] is rows[i][-1] / -rows[i][j]: den[i] cancels
         rows = self.rows
         best = None
-        for i in range(len(rows)):
+        for i in range(len(self.basic)):  # the constraint rows
             a = rows[i][j]
             if a < 0:
                 num, d = rows[i][-1], -a
@@ -221,11 +205,12 @@ def simplex_exact(problem: LPProblem):
     obj = [0] * (nvars + 1)
     for v, c in problem.objective.items():
         obj[var_index[v]] = c if type(c) is int else rat(c)
-    d = _Dictionary(rows, den, *integer_row(obj))
+    obj, oden = integer_row(obj)
+    d = _Dictionary(rows + [obj], den + [oden])
     d.optimize()
 
     point = {v: ZERO for v in variables}
     for i, bs in enumerate(d.basic):
         if bs < nvars:
             point[variables[bs]] = Q(d.rows[i][-1], d.den[i])
-    return Q(d.obj[-1], d.oden), point
+    return Q(d.rows[-1][-1], d.den[-1]), point

@@ -246,7 +246,7 @@ def _dense_problem(inst: KnapsackInstance, t: int) -> tuple:
     `_dense_matrices` on the point whose y_K is the float unit vector of
     K's column (0 if forced): short sums of the instance data."""
     import numpy as np
-    masks = family_p_t(inst.n, 2 * t).masks
+    masks = family_p_t(inst.n, 2 * t)
     free = [m for m in masks[1:] if not _forced_zero(inst, m, t)]
     col = {m: j for j, m in enumerate([0] + free)}
     column = np.array([col.get(m, -1) for m in masks])  # eye's row -1 is 0
@@ -475,10 +475,10 @@ def lasserre_value(inst: KnapsackInstance, t: int, tol: float = 1e-4,
                          f"in floating point")
         notes.append(f"the 0/1 start is the better point: the estimate is "
                      f"{start} {rat_str(start_val)}")
-        k = sol.chosen.bit_count()
+        k = sol.bit_count()
         point = ({r: math.comb(k, m) / math.comb(inst.n, m)
                   for m, r in enumerate(masks)} if uniform
-                 else {m: float(m & ~sol.chosen == 0) for m in masks})
+                 else {m: float(m & ~sol == 0) for m in masks})
         value, residual = float(start_val), 0.0
     else:
         full = np.concatenate(([1.0], y, [0.0]))

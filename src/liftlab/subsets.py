@@ -51,45 +51,21 @@ def canon_key(mask: int) -> tuple[int, int]:
     return (mask.bit_count(), mask)
 
 
-class SubsetFamily:
-    """Ordered, deduplicated collection of subset bitmasks in canonical order."""
-
-    __slots__ = ("masks", "index")
-
-    def __init__(self, masks):
-        ordered = sorted(set(masks), key=canon_key)
-        self.masks: tuple[int, ...] = tuple(ordered)
-        self.index: dict[int, int] = {m: i for i, m in enumerate(ordered)}
-
-    def __len__(self):
-        return len(self.masks)
-
-    def __iter__(self):
-        return iter(self.masks)
-
-    def __contains__(self, mask):
-        return mask in self.index
-
-    def __eq__(self, other):
-        return isinstance(other, SubsetFamily) and self.masks == other.masks
-
-    def __repr__(self):
-        return f"SubsetFamily({len(self.masks)} sets)"
-
-
 def count_p_t(n: int, t: int) -> int:
     """|P_t(V)| for |V| = n: the number of subsets of size at most t."""
-    return sum(math.comb(n, k) for k in range(t + 1))
+    return sum(math.comb(n, k) for k in range(min(t, n) + 1))
 
 
-def family_p_t(n: int, t: int) -> SubsetFamily:
-    """P_t(V): all subsets of {0..n-1} of size at most t."""
+def family_p_t(n: int, t: int) -> tuple[int, ...]:
+    """P_t(V): the masks of all subsets of {0..n-1} of size at most t, in
+    canonical order (`canon_key`)."""
     if n > MAX_GROUND:
         raise ValueError(f"ground set too large: {n} > {MAX_GROUND}")
-    # enumerate by size: each mask extends a smaller one by a higher item
+    # enumerate by size: each mask extends a smaller one by a higher item,
+    # so every mask comes once; no subset has more than n items
     out = [0] if t >= 0 else []
     frontier = [0]
-    for _ in range(t):
+    for _ in range(min(t, n)):
         nxt = []
         for m in frontier:
             top = m.bit_length()
@@ -97,21 +73,20 @@ def family_p_t(n: int, t: int) -> SubsetFamily:
                 nxt.append(m | (1 << i))
         out.extend(nxt)
         frontier = nxt
-    return SubsetFamily(out)
+    return tuple(sorted(out, key=canon_key))
 
 
-def family_powerset(mask: int) -> SubsetFamily:
-    """P(U) for the ground subset U given as a bitmask."""
-    return SubsetFamily(submasks(mask))
+def family_powerset(mask: int) -> tuple[int, ...]:
+    """P(U) for the ground subset U given as a bitmask: the masks of its
+    subsets in canonical order."""
+    return tuple(sorted(submasks(mask), key=canon_key))
 
 
-def is_closed_under_shifting(family: SubsetFamily, s_mask: int) -> bool:
-    """True iff Y in T and X subset of S imply X | Y in T."""
-    for y in family.masks:
-        for x in submasks(s_mask):
-            if (x | y) not in family.index:
-                return False
-    return True
+def is_closed_under_shifting(masks, s_mask: int) -> bool:
+    """True iff Y in T and X subset of S imply X | Y in T, for the family
+    T of subset masks given as any iterable."""
+    family = set(masks)
+    return all((x | y) in family for y in family for x in submasks(s_mask))
 
 
 class SetVector:
@@ -227,9 +202,9 @@ def z_vector(yext: SetVector, s_mask: int, x_mask: int, masks=None) -> SetVector
     return SetVector(yext.n, values)
 
 
-def moment_matrix(y: SetVector, family: SubsetFamily) -> list[list]:
-    """M_T(y) as row lists: entry (I, J) is y_{I u J} over the family's order."""
-    masks = family.masks
+def moment_matrix(y: SetVector, masks) -> list[list]:
+    """M_T(y) as row lists: entry (I, J) is y_{I u J} for the family T given
+    as a sequence of subset masks, rows and columns in its order."""
     get = y.values.get
     rows = [[None] * len(masks) for _ in masks]
     # unions are symmetric, so each entry fills both triangles

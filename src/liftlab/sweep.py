@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from .decomposition import big_items, decompose, verify_decomposition
 from .hierarchy import (certificate_alpha, certificate_membership,
                         convex_combination, integer_to_moment)
-from .knapsack import (KnapsackInstance, Solution, instance_from_json,
-                       opt_solution, uniform_gap_instance)
+from .knapsack import (KnapsackInstance, instance_from_json, opt_solution,
+                       uniform_gap_instance)
 from .rationals import Q, rat, rat_str
 from .solvers import (check_lasserre_size, check_sa_size, lasserre_value,
                       sa_value)
@@ -73,6 +73,11 @@ class SweepConfig:
             raise ValueError("item counts n must be integers")
         if not all(type(t) is int for t in self.t_values):
             raise ValueError("levels t must be integers")
+        # the other family's inputs would be ignored without a word
+        if self.family == "uniform" and self.files:
+            raise ValueError("uniform family takes no instance files")
+        if self.family == "files" and (self.n_values or self.eps_values):
+            raise ValueError("files family takes no n or eps ranges")
         if not self.t_values:
             raise ValueError("empty t range")
         if any(t < 1 for t in self.t_values):
@@ -158,7 +163,7 @@ def _decompose_parts(inst: KnapsackInstance, t: int) -> int:
                     and (k > 1 or not s_mask >> i & 1)]
     w = Q(1, len(points))
     y = convex_combination(
-        [(w, integer_to_moment(inst, Solution(m), 2 * t)) for m in points])
+        [(w, integer_to_moment(inst, m, 2 * t)) for m in points])
     result = decompose(y, inst, s_mask, k, t)
     report = verify_decomposition(result, y, inst, t, k)
     if not report.accepted:

@@ -45,9 +45,9 @@ def point_mixture(rng: random.Random, points: list[int]) -> list[tuple]:
 
 
 def mixture_moment(inst, weighted_points, depth) -> SetVector:
-    from liftlab import Solution, convex_combination, integer_to_moment
+    from liftlab import convex_combination, integer_to_moment
     return convex_combination(
-        [(w, integer_to_moment(inst, Solution(p), depth))
+        [(w, integer_to_moment(inst, p, depth))
          for w, p in weighted_points])
 
 

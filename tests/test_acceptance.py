@@ -9,7 +9,7 @@ import random
 
 import numpy as np
 
-from liftlab import (Q, SetVector, Solution, big_items, convex_combination,
+from liftlab import (Q, SetVector, big_items, convex_combination,
                      decompose, extend, family_p_t, greedy, integer_to_moment,
                      lasserre_membership, lasserre_value, lp_value,
                      make_instance, moment_matrix, psd_exact,
@@ -19,7 +19,7 @@ from liftlab import (Q, SetVector, Solution, big_items, convex_combination,
                      verify_gap_certificate, z_vector)
 from liftlab.hierarchy import _sa_membership_dense
 from liftlab.simplex import LPProblem
-from liftlab.subsets import SubsetFamily, is_closed_under_shifting, submasks
+from liftlab.subsets import is_closed_under_shifting, submasks
 
 from conftest import rand_setvector, sa_linear_constraints
 
@@ -125,7 +125,7 @@ def test_criterion_6_decomposition_suite():
         raw = [rng.randint(1, 5) for _ in pts]
         total = sum(raw)
         y = convex_combination(
-            [(Q(w, total), integer_to_moment(inst, Solution(p), 2 * t))
+            [(Q(w, total), integer_to_moment(inst, p, 2 * t))
              for w, p in zip(raw, pts)])
         try:
             result = decompose(y, inst, s_mask, k, t)
@@ -196,8 +196,7 @@ def test_criterion_7_algebra_property_suite():
         y = SetVector(n, values, extended=True)
         s = rng.randrange(1 << n)
         r = rng.randint(0, n)
-        fam = SubsetFamily(a for a in range(1 << n)
-                           if (a & ~s).bit_count() <= r)
+        fam = tuple(a for a in range(1 << n) if (a & ~s).bit_count() <= r)
         assert is_closed_under_shifting(fam, s)
         assert psd_exact(moment_matrix(y, fam))
         for xm in submasks(s):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from liftlab import (Q, SetVector, Solution, Violation, convex_combination,
+from liftlab import (Q, SetVector, Violation, convex_combination,
                      family_p_t, instance_to_json, integer_to_moment,
                      lasserre_membership, make_instance, rat_str,
                      setvector_to_json, uniform_gap_instance)
@@ -35,7 +35,7 @@ def test_json_says_which_membership_path_ran(inst_file, tmp_path, capsys):
     assert out["reduced"] is True and out["checks"] == 4 + 3
     inst, path = inst_file  # sizes 1 and 2: no orbit reduction
     point = tmp_path / "pt.json"
-    point.write_text(setvector_to_json(integer_to_moment(inst, Solution(1), 2)),
+    point.write_text(setvector_to_json(integer_to_moment(inst, 1, 2)),
                      encoding="utf-8")
     code = main(["verify", "--instance", path, "--point", str(point),
                  "--mode", "sa", "--t", "2", "--json"])
@@ -88,7 +88,7 @@ def test_lasserre_value_rejects_a_non_finite_tol(inst_file, capsys, tol):
 def test_verify_accepts_integer_point(inst_file, tmp_path, capsys):
     inst, path = inst_file
     point = tmp_path / "pt.json"
-    point.write_text(setvector_to_json(integer_to_moment(inst, Solution(1), 4)),
+    point.write_text(setvector_to_json(integer_to_moment(inst, 1, 4)),
                      encoding="utf-8")
     code = main(["verify", "--instance", path, "--point", str(point),
                  "--mode", "lasserre", "--t", "2"])
@@ -105,14 +105,14 @@ def test_lasserre_verify_says_when_the_orbit_blocks_decided(inst_file, tmp_path,
     level = [Q(1), Q(3, 20), Q(9, 1000), Q(0), Q(0)]
     point = tmp_path / "pt.json"
     point.write_text(setvector_to_json(SetVector(8, {
-        m: level[m.bit_count()] for m in family_p_t(8, 4).masks})), encoding="utf-8")
+        m: level[m.bit_count()] for m in family_p_t(8, 4)})), encoding="utf-8")
     code = main(["verify", "--instance", str(inst_path), "--point", str(point),
                  "--mode", "lasserre", "--t", "2", "--json"])
     assert code == 0
     out = json.loads(capsys.readouterr().out)
     assert out["accepted"] is True and out["reduced"] is True
     inst, path = inst_file  # sizes 1 and 2: the dense matrices decide
-    point.write_text(setvector_to_json(integer_to_moment(inst, Solution(1), 4)),
+    point.write_text(setvector_to_json(integer_to_moment(inst, 1, 4)),
                      encoding="utf-8")
     code = main(["verify", "--instance", path, "--point", str(point),
                  "--mode", "lasserre", "--t", "2", "--json"])
@@ -130,7 +130,7 @@ def test_verify_prints_a_long_margin_as_a_float(tmp_path, capsys):
                          encoding="utf-8")
     level = [Q(1), Q(31, 100) + Q(1, 10 ** 20 + 39), Q(9, 1000) - Q(1, 10 ** 25 + 13),
              Q(0), Q(0)]
-    y = SetVector(4, {m: level[m.bit_count()] for m in family_p_t(4, 4).masks})
+    y = SetVector(4, {m: level[m.bit_count()] for m in family_p_t(4, 4)})
     point = tmp_path / "pt.json"
     point.write_text(setvector_to_json(y), encoding="utf-8")
     argv = ["verify", "--instance", str(inst_path), "--point", str(point),
@@ -157,7 +157,7 @@ def test_verify_prints_a_long_margin_as_a_float(tmp_path, capsys):
 
 def test_verify_rejects_bad_point(inst_file, tmp_path, capsys):
     inst, path = inst_file
-    y = integer_to_moment(inst, Solution(1), 2)
+    y = integer_to_moment(inst, 1, 2)
     y.values[0b10] = Q(2)  # out of range
     point = tmp_path / "pt.json"
     point.write_text(setvector_to_json(y), encoding="utf-8")
@@ -173,7 +173,7 @@ def test_decompose_round_trip(tmp_path, capsys):
     inst_path = tmp_path / "inst.json"
     inst_path.write_text(instance_to_json(inst), encoding="utf-8")
     point = tmp_path / "pt.json"
-    point.write_text(setvector_to_json(integer_to_moment(inst, Solution(1), 6)),
+    point.write_text(setvector_to_json(integer_to_moment(inst, 1, 6)),
                      encoding="utf-8")
     code = main(["decompose", "--instance", str(inst_path), "--point",
                  str(point), "--t", "3", "--k", "2", "--s", "1,2", "--json"])
@@ -206,7 +206,7 @@ def test_decompose_usage_errors_exit_two(tmp_path, capsys, flags):
     inst_path = tmp_path / "inst.json"
     inst_path.write_text(instance_to_json(inst), encoding="utf-8")
     point = tmp_path / "pt.json"
-    point.write_text(setvector_to_json(integer_to_moment(inst, Solution(1), 6)),
+    point.write_text(setvector_to_json(integer_to_moment(inst, 1, 6)),
                      encoding="utf-8")
     code = main(["decompose", "--instance", str(inst_path), "--point",
                  str(point)] + flags)
@@ -223,7 +223,7 @@ def test_decompose_with_too_few_items_outside_s_exits_two(tmp_path, capsys):
     inst = make_instance([3, 1, 1, 3], [5, 4, 4, 1], 4)
     inst_path = tmp_path / "inst.json"
     inst_path.write_text(instance_to_json(inst), encoding="utf-8")
-    y = convex_combination([(Q(1, 2), integer_to_moment(inst, Solution(m), 6))
+    y = convex_combination([(Q(1, 2), integer_to_moment(inst, m, 6))
                             for m in (0, 0b1000)])
     point = tmp_path / "pt.json"
     point.write_text(setvector_to_json(y), encoding="utf-8")
@@ -247,7 +247,7 @@ def test_decompose_above_n_exits_two(tmp_path, capsys):
     inst_path = tmp_path / "inst.json"
     inst_path.write_text(instance_to_json(inst), encoding="utf-8")
     point = tmp_path / "pt.json"
-    point.write_text(setvector_to_json(integer_to_moment(inst, Solution(0), 8)),
+    point.write_text(setvector_to_json(integer_to_moment(inst, 0, 8)),
                      encoding="utf-8")
     code = main(["decompose", "--instance", str(inst_path), "--point",
                  str(point), "--t", "4", "--k", "1", "--s", "0,1"])
@@ -350,6 +350,9 @@ def test_sweep_config_with_threads_is_rejected(tmp_path, capsys):
     ({"t_values": [2.5]}, "levels t must be integers"),
     ({"n_values": [True]}, "item counts n must be integers"),
     ({"output": 2}, "output must be a path string"),
+    # the files named do not exist: the sweep stops before it opens any
+    ({"files": ["x.json"]}, "uniform family takes no instance files"),
+    ({"family": "files", "files": ["x.json"]}, "files family takes no n or eps ranges"),
 ])
 def test_sweep_config_with_malformed_fields_exits_two(tmp_path, capsys, change, says):
     cfg = {"family": "uniform", "n_values": [6], "eps_values": ["1/10"],

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from liftlab import (Q, DecompositionResult, SetVector, Solution, big_items,
+from liftlab import (Q, DecompositionResult, SetVector, big_items,
                      decompose, extend, family_p_t, integer_to_moment,
                      lasserre_membership, lp_value, make_instance, mask_of,
                      opt_solution, residual, uniform_gap_instance,
@@ -27,7 +27,7 @@ def oracle_decompose(y, inst, s_mask, k, t):
     """The decomposition by its definition: z^X on all of P_{2t-2k}(V) for
     every X <= S, parts of weight 0 skipped, each z^X divided by z^X_0."""
     yext = extend(y)
-    target = family_p_t(inst.n, 2 * (t - k)).masks
+    target = family_p_t(inst.n, 2 * (t - k))
     parts = []
     for x_mask in sorted(submasks(s_mask)):
         z = z_vector(yext, s_mask, x_mask, masks=target)
@@ -77,7 +77,7 @@ def test_decompose_matches_the_definitional_oracle():
             y, _ = constrained_mixture(rng, inst, s_mask, k, 2 * t)
         else:
             values = {m: Q(0) if (m & s_mask).bit_count() >= k else rand_rat(rng)
-                      for m in family_p_t(n, 2 * t).masks}
+                      for m in family_p_t(n, 2 * t)}
             values[0] = Q(1)
             y = SetVector(n, values)
         got = outcome(decompose, y, inst, s_mask, k, t)
@@ -114,7 +114,7 @@ def test_decompose_single_integer_point(rng):
             chosen |= 1 << i
     t, k = 3, 1
     s_mask = 0b0011 & ~chosen if (0b0011 & ~chosen) else 0b0001 & ~chosen
-    y = integer_to_moment(inst, Solution(chosen), 2 * t)
+    y = integer_to_moment(inst, chosen, 2 * t)
     if not vanishing_condition(y, s_mask, k):
         pytest.skip("sampled point intersects S")
     result = decompose(y, inst, s_mask, k, t)
@@ -155,20 +155,20 @@ def test_decompose_and_verify_mixtures(rng):
 
 def test_decompose_guards():
     inst = uniform_gap_instance(4, "1/10")
-    y = integer_to_moment(inst, Solution(0), 6)
+    y = integer_to_moment(inst, 0, 6)
     with pytest.raises(ValueError):
         decompose(y, inst, 0b0011, 0, 3)
     with pytest.raises(ValueError):
         decompose(y, inst, 0b0011, 3, 3)
     with pytest.raises(ValueError):
         decompose(y, inst, 1 << 10, 1, 3)
-    bad = integer_to_moment(inst, Solution(0b0001), 6)
+    bad = integer_to_moment(inst, 0b0001, 6)
     with pytest.raises(ValueError):
         decompose(bad, inst, 0b0011, 1, 3)  # vanishing condition fails
     with pytest.raises(ValueError, match=r"\|S\| capped at 16"):
         decompose(y, inst, (1 << 17) - 1, 1, 3)
     # twice the moment vector of {2}: it vanishes on S = {0, 1}, y_0 = 2
-    doubled = integer_to_moment(inst, Solution(0b0100), 6)
+    doubled = integer_to_moment(inst, 0b0100, 6)
     doubled = SetVector(4, {m: 2 * v for m, v in doubled.values.items()})
     with pytest.raises(ValueError, match="expected a normalized lifted point"):
         decompose(doubled, inst, 0b0011, 1, 3)
@@ -256,7 +256,7 @@ def test_verify_rejects_a_tampered_part(rng):
         parts = list(result.parts)
         parts[at] = (x_mask, weight, tampered)
         report = verify_decomposition(
-            DecompositionResult(s_mask, k, t, tuple(parts)), y, inst, t, k)
+            DecompositionResult(s_mask, tuple(parts)), y, inst, t, k)
         assert not report.accepted
         return {v.kind for v in report.violations}
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from liftlab import (Q, SetVector, Solution, certificate_alpha,
+from liftlab import (Q, SetVector, certificate_alpha,
                      certificate_membership, convex_combination, family_p_t,
                      family_powerset, instance_to_json, integer_to_moment,
                      lasserre_membership, make_instance, mask_of,
@@ -28,16 +28,16 @@ def feasible_points(inst):
 
 def test_integer_moment_values():
     inst = make_instance([1, 2], [3, 2], 2)
-    y = integer_to_moment(inst, Solution(0b01), 2)
+    y = integer_to_moment(inst, 0b01, 2)
     assert y[0] == 1 and y[0b01] == 1 and y[0b10] == 0 and y[0b11] == 0
 
 
 def test_integer_moment_rejects_infeasible():
     inst = make_instance([1, 2], [3, 2], 2)
     with pytest.raises(ValueError):
-        integer_to_moment(inst, Solution(0b11), 2)
+        integer_to_moment(inst, 0b11, 2)
     with pytest.raises(ValueError):
-        integer_to_moment(inst, Solution(0b100), 2)
+        integer_to_moment(inst, 0b100, 2)
 
 
 def test_integer_points_lie_in_every_sa_level(rng):
@@ -45,7 +45,7 @@ def test_integer_points_lie_in_every_sa_level(rng):
         inst = rand_instance(rng, rng.randint(2, 5))
         m = rng.choice(feasible_points(inst))
         for t in range(1, inst.n + 1):
-            y = integer_to_moment(inst, Solution(m), t)
+            y = integer_to_moment(inst, m, t)
             assert sa_membership(y, inst, t).accepted
 
 
@@ -54,7 +54,7 @@ def test_integer_points_lie_in_every_lasserre_level(rng):
         inst = rand_instance(rng, rng.randint(2, 5))
         m = rng.choice(feasible_points(inst))
         for t in range(1, inst.n + 1):
-            y = integer_to_moment(inst, Solution(m), 2 * t)
+            y = integer_to_moment(inst, m, 2 * t)
             assert lasserre_membership(y, inst, t).accepted
 
 
@@ -71,8 +71,8 @@ def test_mixtures_of_integer_points_are_members(rng):
 
 def test_convex_combination_validation():
     inst = make_instance([1, 1], [1, 1], 1)
-    y0 = integer_to_moment(inst, Solution(0), 2)
-    y1 = integer_to_moment(inst, Solution(1), 2)
+    y0 = integer_to_moment(inst, 0, 2)
+    y1 = integer_to_moment(inst, 1, 2)
     with pytest.raises(ValueError):
         convex_combination([])
     with pytest.raises(ValueError):
@@ -86,7 +86,7 @@ def test_convex_combination_validation():
 
 def test_membership_argument_validation():
     inst = make_instance([1, 1], [1, 1], 1)
-    y = integer_to_moment(inst, Solution(0), 2)
+    y = integer_to_moment(inst, 0, 2)
     with pytest.raises(ValueError):
         sa_membership(y, inst, 0)
     with pytest.raises(ValueError, match="ground-set size mismatch"):
@@ -130,9 +130,9 @@ def test_range_check_reads_only_the_level():
     # the moment vector of {0} stored to depth 4, with one entry beyond
     # P_2(V) out of range: neither level-2 SA nor level-1 Lasserre reads it
     inst = uniform_gap_instance(4, "1/10")
-    y = integer_to_moment(inst, Solution(0b1), 4)
+    y = integer_to_moment(inst, 0b1, 4)
     y.values[0b1111] = Q(2)
-    p2 = len(family_p_t(4, 2).masks)
+    p2 = len(family_p_t(4, 2))
     sa = sa_membership(y, inst, 2)
     assert sa.accepted, sa.describe()
     assert sa.checked == 1 + p2 + 6 + 4  # unit, range on P_2(V), |U| = 2, |W| = 1
@@ -242,18 +242,18 @@ def _dense_oracle(y, inst, t, lasserre):
     constraints = ([(inst.capacity, tuple(-c for c in inst.sizes))]
                    + [(Q(0), e) for e in unit]
                    + [(Q(1), tuple(-a for a in e)) for e in unit])
-    reach = family_p_t(n, (2 * t if lasserre else t) - 1).masks
+    reach = family_p_t(n, (2 * t if lasserre else t) - 1)
     shifted = [{m: b * y[m] + sum((a * y[m | 1 << i] for i, a in
                                    enumerate(coefficients)), Q(0))
                 for m in reach}.__getitem__
                for b, coefficients in constraints]
     if lasserre:
-        fam_t, fam_tm1 = family_p_t(inst.n, t).masks, family_p_t(inst.n, t - 1).masks
+        fam_t, fam_tm1 = family_p_t(inst.n, t), family_p_t(inst.n, t - 1)
         return (_psd_on(y.__getitem__, fam_t)
                 and all(_psd_on(g, fam_tm1) for g in shifted))
-    return (all(_psd_on(y.__getitem__, family_powerset(u).masks)
+    return (all(_psd_on(y.__getitem__, family_powerset(u))
                 for u in family_p_t(inst.n, t))
-            and all(_psd_on(g, family_powerset(w).masks)
+            and all(_psd_on(g, family_powerset(w))
                     for w in family_p_t(inst.n, t - 1) for g in shifted))
 
 
@@ -371,7 +371,7 @@ def test_dense_margins_are_the_unscaled_values(tmp_path, capsys):
     assert {kind for kind, _, _ in want} == {"moment M_P(U)",
                                             "constraint[0] M_P(W)(g*y)"}
 
-    fam = family_p_t(n, t - 1).masks
+    fam = family_p_t(n, t - 1)
     want = [("moment M_Pt(V)", (t,),
              fraction_witness(moment_matrix(y, family_p_t(n, t)))[1]),
             ("constraint[0] M_Pt-1(V)(g*y)", (t - 1,),
@@ -555,7 +555,7 @@ def test_orbit_blocks_reproduce_the_dense_spectrum(rng):
         n = rng.randint(1, 8)
         top = rng.randint(0, min(n, 3))
         x = [rng.uniform(-1, 1) for _ in range(min(2 * top, n) + 1)]
-        fam = family_p_t(n, top).masks
+        fam = family_p_t(n, top)
         dense = np.linalg.eigvalsh(np.array([[x[(a | b).bit_count()] for b in fam]
                                              for a in fam]))
         spectrum = []

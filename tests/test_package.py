@@ -19,7 +19,7 @@ REMOVED = ("overflow_vanishing_check", "t_families", "project",
            "box_constraints", "all_constraints", "MultilinearPoly", "char_poly",
            "poly_shift", "min_eigenvalue", "psd_float", "matrix_to_float",
            "sa_linear_constraints", "LiftedInequality", "w_normalize",
-           "LPInfeasible")
+           "LPInfeasible", "Solution", "SubsetFamily")
 
 
 def test_every_export_resolves():
@@ -77,6 +77,36 @@ def test_every_imported_name_is_read():
     assert unused == []
 
 
+# private helpers that only the tests call, as oracles for the fast paths
+TEST_ORACLES = {"_sa_membership_dense", "_lasserre_membership_dense"}
+
+
+def test_every_private_helper_is_used():
+    # a module-level _name function or class must be read somewhere in the
+    # package outside its own definition; a recursive call does not count
+    package = os.path.dirname(liftlab.__file__)
+    top_level = []  # (module, node, names the node reads)
+    for fname in sorted(os.listdir(package)):
+        if not fname.endswith(".py"):
+            continue
+        with open(os.path.join(package, fname), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in tree.body:
+            top_level.append((fname, node, {
+                n.id if isinstance(n, ast.Name) else n.attr
+                for n in ast.walk(node)
+                if isinstance(n, (ast.Name, ast.Attribute))}))
+    dead = []
+    for fname, node, _ in top_level:
+        if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and node.name.startswith("_") and not node.name.startswith("__")
+                and node.name not in TEST_ORACLES
+                and not any(node.name in names
+                            for _, other, names in top_level if other is not node)):
+            dead.append(f"{fname}: {node.name}")
+    assert dead == []
+
+
 def _child_env():
     # the child imports the same liftlab as this process, ahead of PYTHONPATH
     src = os.path.dirname(os.path.dirname(liftlab.__file__))
@@ -98,7 +128,7 @@ u12, u8, point = sys.argv[1:]
 level = [Q(1), Q(3, 20), Q(9, 1000), Q(0), Q(0)]
 with open(point, "w", encoding="utf-8") as fh:
     fh.write(setvector_to_json(SetVector(8, {
-        m: level[m.bit_count()] for m in family_p_t(8, 4).masks})))
+        m: level[m.bit_count()] for m in family_p_t(8, 4)})))
 commands = [
     ["sa-cert", "--n", "20", "--eps", "1/10", "--t", "5", "--delta", "1/4"],
     ["sa-value", "--instance", u12, "--t", "3"],

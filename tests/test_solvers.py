@@ -213,6 +213,17 @@ def test_sa_value_caps():
         sa_value(uniform_gap_instance(40, "1/10"), 0)
 
 
+def test_sa_value_at_a_huge_level_is_that_of_level_n_plus_one():
+    # above n every level has the same LP; sizing it must not loop over
+    # the 10**9 levels (it took about a minute)
+    inst = make_instance([2, 3, 4, 5, 6], [3, 4, 5, 6, 8], 10)
+    assert not inst.is_uniform()
+    start = time.perf_counter()
+    huge = sa_value(inst, 10**9)
+    assert time.perf_counter() - start < 1
+    assert huge == sa_value(inst, inst.n + 1)
+
+
 def _closed_form(n, capacity, t):
     return n * capacity / (n + (t - 1) * (capacity - 1))
 
@@ -332,7 +343,7 @@ def test_lasserre_output_satisfies_the_box_localizers():
     assert est.residual < 1e-7
     # the point holds y_m at (1 << m) - 1; y_K = y_|K|
     profile = [est.point[(1 << m) - 1] for m in range(5)]
-    fam = family_p_t(4, 1).masks
+    fam = family_p_t(4, 1)
 
     def y(mask):
         return profile[mask.bit_count()]
@@ -497,11 +508,11 @@ def _dense_tensors_per_entry(inst, t):
     """The dense blocks filled entry by entry from the capacity terms: the
     oracle of `_dense_problem`'s build on the exact checker's matrices."""
     n = inst.n
-    free = [m for m in family_p_t(n, 2 * t).masks[1:] if not _forced_zero(inst, m, t)]
+    free = [m for m in family_p_t(n, 2 * t)[1:] if not _forced_zero(inst, m, t)]
     col = {m: j for j, m in enumerate([0] + free)}
 
     def block(level, terms):  # entry (I, J) = sum of coef * y_{I u J u bit}
-        fam = family_p_t(n, level).masks
+        fam = family_p_t(n, level)
         a = np.zeros((len(col), len(fam), len(fam)))
         for r, ra in enumerate(fam):
             for s, sb in enumerate(fam):
@@ -571,7 +582,7 @@ def test_lasserre_forced_zeros_are_dropped():
         assert len(objective) == free
     # a single item filling the knapsack: cost {0} = C forces y_{0,1} = 0
     edge = make_instance([2, 1], [1, 1], 2)
-    assert [m for m in family_p_t(2, 4).masks[1:]
+    assert [m for m in family_p_t(2, 4)[1:]
             if _forced_zero(edge, m, 2)] == [0b11]
 
 

@@ -4,12 +4,12 @@ import random
 
 import pytest
 
-from liftlab import (Q, SetVector, SubsetFamily, extend, family_p_t,
+from liftlab import (Q, SetVector, extend, family_p_t,
                      family_powerset, indices_of, is_closed_under_shifting,
                      mask_of, moment_matrix, restrict_reindex,
                      setvector_from_json, setvector_to_json, shift,
                      signed_base, submasks, z_vector)
-from liftlab.subsets import canon_key
+from liftlab.subsets import canon_key, count_p_t
 
 from conftest import rand_setvector
 
@@ -29,8 +29,9 @@ def test_submasks_enumerates_the_powerset_of_the_mask():
 
 def test_family_p_t_sizes_and_order():
     fam = family_p_t(5, 2)
+    assert type(fam) is tuple
     assert len(fam) == 1 + 5 + 10
-    assert list(fam.masks) == sorted(fam.masks, key=canon_key)
+    assert list(fam) == sorted(fam, key=canon_key)
     assert 0b11 in fam and 0b111 not in fam
 
 
@@ -38,24 +39,36 @@ def test_family_p_t_sparse_path_matches_dense():
     # the by-size enumerator equals a scan of all 2^n masks
     sparse = family_p_t(22, 2)
     assert len(sparse) == 1 + 22 + math.comb(22, 2)
-    assert list(sparse.masks) == sorted(set(sparse.masks), key=canon_key)
+    assert list(sparse) == sorted(set(sparse), key=canon_key)
     for n in range(7):
         for t in range(-1, n + 2):
             dense = sorted((m for m in range(1 << n) if m.bit_count() <= t),
                            key=canon_key)
-            assert list(family_p_t(n, t).masks) == dense, (n, t)
+            assert list(family_p_t(n, t)) == dense, (n, t)
 
 
 def test_family_powerset():
     fam = family_powerset(0b101)
-    assert list(fam.masks) == [0, 0b001, 0b100, 0b101]
+    assert type(fam) is tuple
+    assert list(fam) == [0, 0b001, 0b100, 0b101]
+
+
+def test_a_level_above_n_stops_at_the_full_powerset():
+    # no subset of n items has more than n of them: t = 10**9 would
+    # otherwise sum 10**9 binomials and run 10**9 enumeration rounds
+    assert count_p_t(5, 10**9) == 32
+    assert family_p_t(3, 10**9) == family_p_t(3, 3)
 
 
 def test_closed_under_shifting():
     n, s = 4, 0b0011
-    closed = SubsetFamily(a for a in range(1 << n) if (a & ~s).bit_count() <= 1)
+    closed = tuple(a for a in range(1 << n) if (a & ~s).bit_count() <= 1)
     assert is_closed_under_shifting(closed, s)
+    # any iterable of masks will do, a one-pass generator too
+    assert is_closed_under_shifting(set(closed), s)
+    assert is_closed_under_shifting((a for a in closed), s)
     assert not is_closed_under_shifting(family_p_t(4, 2), s)
+    assert not is_closed_under_shifting(iter(family_p_t(4, 2)), s)
 
 
 def test_setvector_lookup_semantics():
@@ -136,8 +149,8 @@ def test_moment_matrix_entries_and_symmetry(rng):
     y = rand_setvector(rng, 3)
     fam = family_p_t(3, 1)
     mat = moment_matrix(y, fam)
-    for i, a in enumerate(fam.masks):
-        for j, b in enumerate(fam.masks):
+    for i, a in enumerate(fam):
+        for j, b in enumerate(fam):
             assert mat[i][j] == y[a | b]
             assert mat[i][j] == mat[j][i]
     # entries and their types are those of y[I u J]: ZERO for a missing
@@ -148,7 +161,7 @@ def test_moment_matrix_entries_and_symmetry(rng):
         sparse = SetVector(n, {m: v for m, v in full.values.items()
                                if rng.random() < 0.6}, extended=True)
         for y in (full, sparse):
-            expected = [[y[a | b] for b in fam.masks] for a in fam.masks]
+            expected = [[y[a | b] for b in fam] for a in fam]
             got = moment_matrix(y, fam)
             assert got == expected
             assert [[type(v) for v in row] for row in got] == \

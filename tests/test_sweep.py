@@ -57,7 +57,7 @@ def test_config_validation():
                         t_values=(1,), tol=tol).validate()
     # malformed levels, sizes, files, output or tol name the field, where
     # they ran as n = 1 or t = 1, wrote to a file descriptor or made an
-    # error row
+    # error row; the other family's inputs, once silently ignored, are refused
     base = dict(family="uniform", n_values=(4,), eps_values=("1/10",), t_values=(1,))
     for change, says in [({"t_values": (2.5,)}, "levels t must be integers"),
                          ({"t_values": (True,)}, "levels t must be integers"),
@@ -68,7 +68,13 @@ def test_config_validation():
                          ({"family": "files", "files": ("a.json", 3)},
                           "instance files must be path strings"),
                          ({"tol": True}, "tol must be a number"),
-                         ({"tol": "1e-4"}, "tol must be a number")]:
+                         ({"tol": "1e-4"}, "tol must be a number"),
+                         ({"files": ("a.json",)},
+                          "uniform family takes no instance files"),
+                         ({"family": "files", "files": ("a.json",)},
+                          "files family takes no n or eps ranges"),
+                         ({"family": "files", "files": ("a.json",), "n_values": ()},
+                          "files family takes no n or eps ranges")]:
         with pytest.raises(ValueError) as exc:
             SweepConfig(**{**base, **change}).validate()
         assert str(exc.value) == says, change

@@ -4,7 +4,7 @@ attributes by name; a refactor that drops one of them must fail here."""
 import math
 from pathlib import Path
 
-from liftlab import (Q, Solution, convex_combination, decomposition,
+from liftlab import (Q, convex_combination, decomposition,
                      integer_to_moment, knapsack, uniform_gap_instance)
 
 
@@ -31,7 +31,7 @@ def test_traced_decompose_records_one_z_vector_span_per_light_x(monkeypatch):
 
     n, k, t = 6, 2, 3
     inst = uniform_gap_instance(n, "1/10")
-    y = convex_combination([(Q(1, 3), integer_to_moment(inst, Solution(m), 2 * t))
+    y = convex_combination([(Q(1, 3), integer_to_moment(inst, m, 2 * t))
                             for m in (0, 0b000001, 0b100000)])
     tracer = spans.Tracer()
     with tracer.installed():
