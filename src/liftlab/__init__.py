@@ -28,7 +28,7 @@ from .subsets import (SetVector, extend, family_p_t, family_powerset,
                       moment_matrix, restrict_reindex, setvector_from_json,
                       setvector_to_json, shift, signed_base, submasks,
                       z_vector)
-from .sweep import ResultRow, SweepConfig, emit_csv, run_sweep
+from .sweep import ResultRow, SweepConfig, run_sweep
 
 __version__ = "0.1.0"
 
@@ -39,7 +39,7 @@ __all__ = [
     "SetVector", "SweepConfig",
     "Violation", "ZERO", "big_items", "certificate_alpha",
     "certificate_membership", "convex_combination", "decompose",
-    "emit_csv", "extend",
+    "extend",
     "family_p_t", "family_powerset", "greedy", "indices_of",
     "instance_from_json", "instance_to_json", "integer_to_moment",
     "is_closed_under_shifting", "lasserre_membership", "lasserre_value",

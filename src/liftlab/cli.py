@@ -17,7 +17,7 @@ from .knapsack import instance_from_json
 from .rationals import rat_str
 from .solvers import lasserre_value, sa_value
 from .subsets import indices_of, mask_of, setvector_from_json
-from .sweep import SweepConfig, emit_csv, rows_to_csv_text, run_sweep
+from .sweep import SweepConfig, rows_to_csv_text, run_sweep
 
 
 def _common_flags(sub):
@@ -40,6 +40,12 @@ def _emit(args, payload: dict, text: str):
         print(json.dumps(payload, indent=1))
     else:
         print(text)
+
+
+def _violations(report) -> dict:
+    """A report's violation count and exact margins, as JSON fields."""
+    return {"violations": len(report.violations),
+            "margins": [rat_str(v.margin) for v in report.violations]}
 
 
 def _cmd_sa_cert(args) -> int:
@@ -70,7 +76,8 @@ def _cmd_lasserre_value(args) -> int:
     inst = _load_instance(args.instance)
     est = lasserre_value(inst, args.t, tol=args.tol, max_sweeps=args.max_sweeps)
     _emit(args, {"value": est.value, "mode": "lasserre",
-                 "residual": est.residual, "iterations": est.sweeps},
+                 "residual": est.residual, "iterations": est.sweeps,
+                 "notes": est.notes},
           est.describe())
     return 0
 
@@ -99,7 +106,8 @@ def _cmd_decompose(args) -> int:
         + [f"  X = {p['x']}, weight {p['weight']}" for p in parts]
         + [report.describe()])
     _emit(args, {"s": indices_of(s_mask), "k": args.k, "parts": parts,
-                 "accepted": report.accepted, "checks": report.checked},
+                 "accepted": report.accepted, "checks": report.checked,
+                 **_violations(report)},
           text)
     return 0 if report.accepted else 1
 
@@ -113,9 +121,7 @@ def _cmd_verify(args) -> int:
         report = lasserre_membership(y, inst, args.t)
     _emit(args, {"mode": args.mode, "t": args.t,
                  "accepted": report.accepted, "checks": report.checked,
-                 "reduced": report.reduced,
-                 "violations": len(report.violations),
-                 "margins": [rat_str(v.margin) for v in report.violations]},
+                 "reduced": report.reduced, **_violations(report)},
           report.describe())
     return 0 if report.accepted else 1
 
@@ -134,8 +140,6 @@ def _cmd_sweep(args) -> int:
         with open(args.config, encoding="utf-8") as fh:
             obj = json.load(fh)
     # command-line flags override config-file values
-    if args.family:
-        obj["family"] = args.family
     if args.files:
         obj["files"] = args.files.split(",")
     if args.n:
@@ -150,14 +154,17 @@ def _cmd_sweep(args) -> int:
         obj["output"] = args.out
     if args.tol is not None:
         obj["tol"] = args.tol
-    cfg = SweepConfig.from_dict(obj).validate()
+    cfg = SweepConfig.from_dict(obj)
     rows = run_sweep(cfg)
     if args.json:
-        print(json.dumps([r.__dict__ for r in rows], indent=1))
-    elif cfg.output:
-        emit_csv(rows, cfg.output)
+        text = json.dumps([r.__dict__ for r in rows], indent=1) + "\n"
     else:
-        sys.stdout.write(rows_to_csv_text(rows))
+        text = rows_to_csv_text(rows)
+    if cfg.output:
+        with open(cfg.output, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
     return 0
 
 
@@ -218,14 +225,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("sweep", help="run a grid of experiments, emit CSV")
     p.add_argument("--config", help="JSON file mirroring SweepConfig")
-    p.add_argument("--family", choices=("uniform", "files"))
     p.add_argument("--files", help="comma-separated instance files")
     p.add_argument("--n", help="range 10:20 or list 10,12")
     p.add_argument("--eps", help="comma-separated rationals")
     p.add_argument("--t", help="range 2:5 or list 1,3")
     p.add_argument("--modes", help="comma-separated subset of "
                                    "sa-cert,sa-lp,lasserre,decompose")
-    p.add_argument("--out", help="CSV output path (default stdout)")
+    p.add_argument("--out", help="output path of the CSV or JSON (default stdout)")
     p.add_argument("--tol", type=float, default=None)
     _common_flags(p)
     p.set_defaults(func=_cmd_sweep)

@@ -198,7 +198,10 @@ class LasserreEstimate:
     # mask -> float over P_2t(V); on a uniform instance y_m at (1 << m) - 1
     # for m = 0..min(2t, n)
     point: dict
-    residual: float              # feasibility residual of that point
+    # max(0, -lambda_min) of the unscaled float blocks at that point, absolute:
+    # eigensolver rounding, as every block factored. Schrijver's coefficients
+    # grow like C(n, m)^3, so it reaches 1e-3 at n = 200; 0.0 at a 0/1 point
+    residual: float
     sweeps: int                  # Newton steps spent
     bisections: int              # barrier stages started
     tol: float
@@ -447,8 +450,9 @@ def lasserre_value(inst: KnapsackInstance, t: int, tol: float = 1e-4,
         raise ValueError("tol must be positive and finite")
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be >= 1")
-    notes = ["lower estimate: the objective of a strictly feasible point, "
-             "within tol of the optimum once the barrier path completes"]
+    notes = ["lower estimate: the objective of a strictly feasible point; "
+             "the barrier path's gap bound nu/s <= tol holds in exact "
+             "arithmetic only"]
     uniform = inst.is_uniform()
     if uniform:
         c, blocks, degree, masks, column = _orbit_problem(inst, t)

@@ -1,4 +1,4 @@
-"""Experiment sweeps over instance grids, with CSV emission.
+"""Experiment sweeps over instance grids, with CSV text for their rows.
 
 A sweep runs a set of modes over a grid of instances and levels, one
 result row per grid point. Exact modes reproduce byte-identically
@@ -17,13 +17,13 @@ import time
 from dataclasses import dataclass
 
 from .decomposition import big_items, decompose, verify_decomposition
-from .hierarchy import (certificate_alpha, certificate_membership,
-                        convex_combination, integer_to_moment)
+from .hierarchy import certificate_alpha, certificate_membership
 from .knapsack import (KnapsackInstance, instance_from_json, opt_solution,
                        uniform_gap_instance)
-from .rationals import Q, rat, rat_str
+from .rationals import ONE, Q, rat, rat_str
 from .solvers import (check_lasserre_size, check_sa_size, lasserre_value,
                       sa_value)
+from .subsets import SetVector
 
 MODES = ("sa-cert", "sa-lp", "lasserre", "decompose")
 
@@ -33,9 +33,8 @@ CSV_HEADER = ("instance", "n", "eps", "t", "mode", "value", "ratio",
 
 @dataclass
 class SweepConfig:
-    """Grid description: uniform family (n x eps) or explicit files, levels, modes."""
+    """Grid description: instance files or the uniform family's n x eps, levels, modes."""
 
-    family: str = "uniform"          # "uniform" | "files"
     files: tuple = ()
     n_values: tuple = ()
     eps_values: tuple = ()           # rationals or strings like "1/10"
@@ -57,13 +56,11 @@ class SweepConfig:
         return cls(**{k: tuple(v) if isinstance(v, list) else v
                       for k, v in obj.items()})
 
-    def validate(self) -> "SweepConfig":
-        if self.family not in ("uniform", "files"):
-            raise ValueError("family must be 'uniform' or 'files'")
-        if self.family == "uniform" and (not self.n_values or not self.eps_values):
-            raise ValueError("uniform family needs non-empty n and eps ranges")
-        if self.family == "files" and not self.files:
-            raise ValueError("files family needs at least one instance file")
+    def validate(self) -> None:
+        if self.files and (self.n_values or self.eps_values):
+            raise ValueError("instance files take no n or eps ranges")
+        if not self.files and not (self.n_values and self.eps_values):
+            raise ValueError("a sweep needs instance files or both n and eps ranges")
         if not all(isinstance(f, str) for f in self.files):
             raise ValueError("instance files must be path strings")
         if not (self.output is None or isinstance(self.output, str)):
@@ -73,11 +70,6 @@ class SweepConfig:
             raise ValueError("item counts n must be integers")
         if not all(type(t) is int for t in self.t_values):
             raise ValueError("levels t must be integers")
-        # the other family's inputs would be ignored without a word
-        if self.family == "uniform" and self.files:
-            raise ValueError("uniform family takes no instance files")
-        if self.family == "files" and (self.n_values or self.eps_values):
-            raise ValueError("files family takes no n or eps ranges")
         if not self.t_values:
             raise ValueError("empty t range")
         if any(t < 1 for t in self.t_values):
@@ -91,7 +83,6 @@ class SweepConfig:
             raise ValueError("tol must be a number")
         if not 0 < self.tol < math.inf:
             raise ValueError("tol must be positive and finite")
-        return self
 
 
 @dataclass(frozen=True)
@@ -122,20 +113,19 @@ def _fmt(v) -> str:
 
 
 def _instances(cfg: SweepConfig):
-    """Ordered (id, instance, eps-string) triples for the grid."""
+    """Ordered (id, instance, eps-string) triples for the grid, of the files
+    or of n x eps: `validate` admits only one of the two."""
     out = []
-    if cfg.family == "uniform":
-        for n in cfg.n_values:
-            for eps in cfg.eps_values:
-                eps = rat(eps)
-                out.append((f"uniform-n{n}-e{rat_str(eps)}",
-                            uniform_gap_instance(n, eps), rat_str(eps)))
-    else:
-        for path in cfg.files:
-            with open(path, encoding="utf-8") as fh:
-                inst = instance_from_json(fh.read())
-            name = os.path.splitext(os.path.basename(path))[0]
-            out.append((name, inst, ""))
+    for path in cfg.files:
+        with open(path, encoding="utf-8") as fh:
+            inst = instance_from_json(fh.read())
+        name = os.path.splitext(os.path.basename(path))[0]
+        out.append((name, inst, ""))
+    for n in cfg.n_values:
+        for eps in cfg.eps_values:
+            eps = rat(eps)
+            out.append((f"uniform-n{n}-e{rat_str(eps)}",
+                        uniform_gap_instance(n, eps), rat_str(eps)))
     return out
 
 
@@ -148,22 +138,27 @@ def _enforce_caps(grid):
             check_lasserre_size(inst, t)
 
 
-def _decompose_parts(inst: KnapsackInstance, t: int) -> int:
-    """Run the decomposition on a canonical exact mixture and verify it.
+def _mixture(inst: KnapsackInstance, t: int):
+    """The canonical exact point of a decompose row, with its split (S, k).
 
-    The mixture blends the empty solution with feasible singletons
-    (outside S when k=1), so the vanishing condition holds by
-    construction. Returns the number of parts.
+    It mixes the empty solution equally with the feasible singletons
+    (outside S when k=1), so the vanishing condition holds by construction.
+    Its moments are y_0 = 1, y_{i} = w for a mixed singleton, and 0 elsewhere.
     """
     if t < 2:
         raise ValueError("decompose mode needs t >= 2")
     k = 1 if t == 2 else 2
     s_mask = big_items(inst, t - 1)
-    points = [0] + [1 << i for i in range(inst.n) if inst.is_feasible(1 << i)
-                    and (k > 1 or not s_mask >> i & 1)]
-    w = Q(1, len(points))
-    y = convex_combination(
-        [(w, integer_to_moment(inst, m, 2 * t)) for m in points])
+    singles = [1 << i for i in range(inst.n) if inst.is_feasible(1 << i)
+               and (k > 1 or not s_mask >> i & 1)]
+    w = Q(1, len(singles) + 1)
+    y = SetVector(inst.n, {0: ONE} | dict.fromkeys(singles, w), extended=True)
+    return y, s_mask, k
+
+
+def _decompose_parts(inst: KnapsackInstance, t: int) -> int:
+    """Decompose `_mixture`'s point, verify the split, return its part count."""
+    y, s_mask, k = _mixture(inst, t)
     result = decompose(y, inst, s_mask, k, t)
     report = verify_decomposition(result, y, inst, t, k)
     if not report.accepted:
@@ -240,9 +235,3 @@ def rows_to_csv_text(rows: list[ResultRow]) -> str:
     writer.writerow(CSV_HEADER)
     writer.writerows(r.csv_fields() for r in rows)
     return buf.getvalue()
-
-
-def emit_csv(rows: list[ResultRow], path: str) -> None:
-    """Write rows_to_csv_text(rows) to path as UTF-8."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(rows_to_csv_text(rows))

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -65,8 +66,20 @@ def test_lasserre_value(inst_file, capsys):
     assert code == 0
     out = json.loads(capsys.readouterr().out)
     assert out["mode"] == "lasserre"
-    assert set(out) == {"value", "mode", "residual", "iterations"}
+    assert set(out) == {"value", "mode", "residual", "iterations", "notes"}
     assert out["value"] >= 3.0 - 1e-3  # never below the integer optimum
+    assert out["notes"][0].startswith("lower estimate")
+    # ten Newton steps stop the path short: the notes say so, and that the
+    # 0/1 start stands, as the text does
+    argv = ["lasserre-value", "--instance", path, "--t", "2", "--tol", "0.5",
+            "--max-sweeps", "10"]
+    assert main(argv + ["--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["value"] == 3.0 and len(out["notes"]) == 3
+    assert out["notes"][-1].endswith("the integer optimum 3")
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        f"  note: {note}" for note in out["notes"]]
 
 
 def test_lasserre_value_rejects_nonpositive_sweep_budget(inst_file, capsys):
@@ -198,6 +211,23 @@ def test_decompose_failure_exits_one(tmp_path, capsys):
     assert "not Lasserre-feasible" in capsys.readouterr().err
 
 
+def test_decompose_json_lists_the_violations_of_a_rejected_split(tmp_path, capsys):
+    # the 0/1 point of items {2, 3} costs 2 > C = 9/5: its one part carries
+    # it whole and fails both membership checks, each margin the count of
+    # violations inside
+    inst = uniform_gap_instance(4, "1/10")
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(instance_to_json(inst), encoding="utf-8")
+    point = tmp_path / "pt.json"
+    point.write_text(setvector_to_json(SetVector(
+        4, {m: Q(int(m & ~0b1100 == 0)) for m in range(16)})), encoding="utf-8")
+    code = main(["decompose", "--instance", str(inst_path), "--point",
+                 str(point), "--t", "3", "--k", "2", "--s", "0,1", "--json"])
+    assert code == 1
+    out = json.loads(capsys.readouterr().out)
+    assert (out["accepted"], out["violations"], out["margins"]) == (False, 2, ["1", "1"])
+
+
 @pytest.mark.parametrize("flags", [["--t", "2", "--k", "2"],
                                    ["--t", "3", "--k", "2", "--s", "5"],
                                    ["--t", "3", "--k", "2", "--s", "-1"]])
@@ -233,7 +263,7 @@ def test_decompose_with_too_few_items_outside_s_exits_two(tmp_path, capsys):
     says = "items [3] outside S are too few for the residual check at level t-k = 2"
     assert capsys.readouterr().err.splitlines() == [f"error: {says}"]
     # at t = 4 the sweep takes k = 2 and S = the items worth more than OPT/3
-    code = main(["sweep", "--family", "files", "--files", str(inst_path),
+    code = main(["sweep", "--files", str(inst_path),
                  "--t", "4", "--modes", "decompose", "--json"])
     assert code == 0
     (row,) = json.loads(capsys.readouterr().out)
@@ -255,7 +285,7 @@ def test_decompose_above_n_exits_two(tmp_path, capsys):
     says = "level t-k = 3 exceeds n = 2"
     assert capsys.readouterr().err.splitlines() == [f"error: {says}"]
     # at t = 5 the sweep takes k = 2
-    code = main(["sweep", "--family", "files", "--files", str(inst_path),
+    code = main(["sweep", "--files", str(inst_path),
                  "--t", "5", "--modes", "decompose", "--json"])
     assert code == 0
     (row,) = json.loads(capsys.readouterr().out)
@@ -274,7 +304,7 @@ def test_unknown_flag_exits_two():
 
 
 def test_sweep_csv_to_stdout(capsys):
-    code = main(["sweep", "--family", "uniform", "--n", "10,20",
+    code = main(["sweep", "--n", "10,20",
                  "--eps", "1/10", "--t", "2:5", "--modes", "sa-cert"])
     assert code == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -283,8 +313,26 @@ def test_sweep_csv_to_stdout(capsys):
     assert lines[1].startswith("uniform-n10-e1/10,10,1/10,2,sa-cert,180/109")
 
 
+def test_sweep_out_gets_the_stdout_text(tmp_path, capsys):
+    # --json picks the format and --out the destination: the file holds what
+    # stdout would, with LF endings, and nothing is printed
+    runtime = re.compile(r'(?<="runtime_ms": )\d+|\d+$', re.M)
+    for fmt in ([], ["--json"]):
+        argv = ["sweep", "--n", "6", "--eps", "1/10", "--t", "2",
+                "--modes", "sa-cert,sa-lp"] + fmt
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out
+        out_path = tmp_path / "rows.out"
+        assert main(argv + ["--out", str(out_path)]) == 0
+        assert capsys.readouterr() == ("", "")
+        raw = out_path.read_bytes()
+        assert b"\r" not in raw
+        assert runtime.sub("0", raw.decode("utf-8")) == runtime.sub("0", stdout)
+    assert [row["value"] for row in json.loads(stdout)] == ["36/23", "9/5"]
+
+
 def test_sweep_config_file_with_flag_override(tmp_path, capsys):
-    cfg = {"family": "uniform", "n_values": [6], "eps_values": ["1/10"],
+    cfg = {"n_values": [6], "eps_values": ["1/10"],
            "t_values": [2], "modes": ["sa-cert"]}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
@@ -297,7 +345,7 @@ def test_sweep_config_file_with_flag_override(tmp_path, capsys):
 
 
 def test_sweep_rejects_empty_levels(capsys):
-    code = main(["sweep", "--family", "uniform", "--n", "6",
+    code = main(["sweep", "--n", "6",
                  "--eps", "1/10", "--t", "", "--modes", "sa-cert"])
     assert code == 2
 
@@ -321,7 +369,7 @@ def test_decompose_point_missing_entries_fails_cleanly(tmp_path):
      "--t", "1", "--families", "all"],
     ["sa-value", "--instance", "i.json", "--t", "1", "--threads", "2"],
     ["lasserre-value", "--instance", "i.json", "--t", "1", "--threads", "2"],
-    ["sweep", "--family", "uniform", "--threads", "2"],
+    ["sweep", "--threads", "2"],
     ["decompose", "--instance", "i.json", "--point", "p.json", "--t", "2",
      "--k", "1", "--seed", "1"],
     ["sa-cert", "--n", "6", "--eps", "1/10", "--t", "2", "--delta", "1/2",
@@ -329,6 +377,7 @@ def test_decompose_point_missing_entries_fails_cleanly(tmp_path):
     ["lasserre-value", "--instance", "i.json", "--t", "1", "--symmetry"],
     ["sa-cert", "--n", "6", "--eps", "1/10", "--t", "2", "--delta", "1/2",
      "--emit-violations", "v.json"],
+    ["sweep", "--family", "uniform", "--n", "6", "--eps", "1/10", "--t", "2"],
 ])
 def test_removed_flags_exit_two(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -338,7 +387,7 @@ def test_removed_flags_exit_two(argv, capsys):
 
 
 def test_sweep_config_with_threads_is_rejected(tmp_path, capsys):
-    cfg = {"family": "uniform", "n_values": [6], "eps_values": ["1/10"],
+    cfg = {"n_values": [6], "eps_values": ["1/10"],
            "t_values": [2], "modes": ["sa-cert"], "threads": 2}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
@@ -351,11 +400,12 @@ def test_sweep_config_with_threads_is_rejected(tmp_path, capsys):
     ({"n_values": [True]}, "item counts n must be integers"),
     ({"output": 2}, "output must be a path string"),
     # the files named do not exist: the sweep stops before it opens any
-    ({"files": ["x.json"]}, "uniform family takes no instance files"),
-    ({"family": "files", "files": ["x.json"]}, "files family takes no n or eps ranges"),
+    ({"files": ["x.json"]}, "instance files take no n or eps ranges"),
+    # the inputs decide the grid: there is no family to name
+    ({"family": "files"}, "unknown config keys: ['family']"),
 ])
 def test_sweep_config_with_malformed_fields_exits_two(tmp_path, capsys, change, says):
-    cfg = {"family": "uniform", "n_values": [6], "eps_values": ["1/10"],
+    cfg = {"n_values": [6], "eps_values": ["1/10"],
            "t_values": [2], "modes": ["sa-lp"], **change}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
@@ -410,7 +460,7 @@ def test_malformed_point_names_the_problem(inst_file, tmp_path, capsys, text, sa
 
 def test_sweep_json_says_why_a_row_failed(inst_file, capsys):
     _, path = inst_file
-    code = main(["sweep", "--family", "files", "--files", path, "--t", "2",
+    code = main(["sweep", "--files", path, "--t", "2",
                  "--modes", "sa-cert", "--json"])
     assert code == 0
     (row,) = json.loads(capsys.readouterr().out)
@@ -424,7 +474,7 @@ def test_sweep_json_lasserre_row_above_the_search_cap(tmp_path, capsys):
     path = tmp_path / "big.json"
     path.write_text(instance_to_json(make_instance([1] * 24 + [2], [1] * 24 + [3],
                                                    "5/2")), encoding="utf-8")
-    code = main(["sweep", "--family", "files", "--files", str(path), "--t", "1",
+    code = main(["sweep", "--files", str(path), "--t", "1",
                  "--modes", "lasserre", "--tol", "1e-3", "--json"])
     assert code == 0
     (row,) = json.loads(capsys.readouterr().out)
@@ -438,7 +488,7 @@ def test_sweep_decompose_row_above_the_search_cap(tmp_path, capsys):
     path = tmp_path / "big.json"
     path.write_text(instance_to_json(make_instance([1] * 24 + [2], [1] * 24 + [3],
                                                    "5/2")), encoding="utf-8")
-    code = main(["sweep", "--family", "files", "--files", str(path), "--t", "2",
+    code = main(["sweep", "--files", str(path), "--t", "2",
                  "--modes", "decompose", "--json"])
     assert code == 0
     (row,) = json.loads(capsys.readouterr().out)
@@ -451,7 +501,7 @@ def test_sweep_stdout_and_file_csv_agree(tmp_path, capsys):
     path.write_text(instance_to_json(make_instance([1, 2], [3, 2], 2)),
                     encoding="utf-8")
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"family": "files", "files": [str(path)],
+    cfg_path.write_text(json.dumps({"files": [str(path)],
                                     "t_values": [1], "modes": ["sa-lp"]}),
                         encoding="utf-8")
     argv = ["sweep", "--config", str(cfg_path)]
@@ -501,7 +551,7 @@ def test_sweep_json_keeps_a_value_whose_ratio_is_out_of_reach(tmp_path, capsys):
     path = tmp_path / "wide.json"
     path.write_text(instance_to_json(make_instance([1] * 24 + [2], [1] * 25, 3)),
                     encoding="utf-8")
-    code = main(["sweep", "--family", "files", "--files", str(path), "--t", "1",
+    code = main(["sweep", "--files", str(path), "--t", "1",
                  "--modes", "sa-lp", "--json"])
     assert code == 0
     (row,) = json.loads(capsys.readouterr().out)
@@ -515,7 +565,7 @@ def test_dense_sa_lp_over_the_cap_is_refused_up_front(tmp_path, capsys):
     path.write_text(instance_to_json(make_instance([1] * 11 + ["3/2"], [1] * 12,
                                                    "19/10")), encoding="utf-8")
     for argv in (["sa-value", "--instance", str(path), "--t", "4"],
-                 ["sweep", "--family", "files", "--files", str(path), "--t", "1,4",
+                 ["sweep", "--files", str(path), "--t", "1,4",
                   "--modes", "sa-lp"]):
         assert main(argv) == 2
         err = capsys.readouterr().err
@@ -528,7 +578,7 @@ def test_dense_lasserre_over_the_cap_is_refused_up_front(tmp_path, capsys):
     path.write_text(instance_to_json(make_instance([1] * 11 + ["3/2"], [1] * 12,
                                                    "19/10")), encoding="utf-8")
     for argv in (["lasserre-value", "--instance", str(path), "--t", "3"],
-                 ["sweep", "--family", "files", "--files", str(path), "--t", "1,3",
+                 ["sweep", "--files", str(path), "--t", "1,3",
                   "--modes", "lasserre"]):
         assert main(argv) == 2
         err = capsys.readouterr().err

@@ -19,7 +19,7 @@ REMOVED = ("overflow_vanishing_check", "t_families", "project",
            "box_constraints", "all_constraints", "MultilinearPoly", "char_poly",
            "poly_shift", "min_eigenvalue", "psd_float", "matrix_to_float",
            "sa_linear_constraints", "LiftedInequality", "w_normalize",
-           "LPInfeasible", "Solution", "SubsetFamily")
+           "LPInfeasible", "Solution", "SubsetFamily", "emit_csv")
 
 
 def test_every_export_resolves():
@@ -134,7 +134,7 @@ commands = [
     ["sa-value", "--instance", u12, "--t", "3"],
     ["verify", "--instance", u8, "--point", point, "--mode", "lasserre",
      "--t", "2"],
-    ["sweep", "--family", "uniform", "--n", "6", "--eps", "1/10", "--t", "2:3",
+    ["sweep", "--n", "6", "--eps", "1/10", "--t", "2:3",
      "--modes", "sa-cert,sa-lp,decompose"],
 ]
 codes = []
